@@ -6,8 +6,8 @@
 //! says so. This crate bridges the two with the smallest possible loop:
 //!
 //! 1. advance virtual time to "wall nanoseconds since start", firing every
-//!    timer that came due ([`simcore::Ctx::run_due`] — the same timer
-//!    wheel, heap fallback and all, that the sim uses);
+//!    timer that came due ([`simcore::Ctx::run_due`] — the same event
+//!    queue the sim uses);
 //! 2. drain the installed [`transport::backend::Backend`]'s ingress queue
 //!    and dispatch the decoded packets into the engines
 //!    ([`transport::backend::pump_ingress`]);
@@ -34,7 +34,7 @@ use transport::{World, Wx};
 pub struct LiveNode {
     /// The node's protocol world (stacks + installed backend).
     pub world: World,
-    /// Standalone scheduler context: timer wheel + RNG, no processes.
+    /// Standalone scheduler context: event queue + RNG, no processes.
     pub ctx: Wx,
     t0: Instant,
     /// Total events fired across every poll (timers and deliveries).

@@ -310,19 +310,30 @@ pub fn live_fig8(scale: Scale) -> (Vec<Fig8Row>, BenchReport) {
     if let Some(t) = &tracer {
         flush_live_trace(t);
     }
-    let report = BenchReport {
-        fig: "pingpong_live".to_string(),
+    (rows, report(scale, t0.elapsed().as_secs_f64(), events_total, cells))
+}
+
+/// The sweep's [`BenchReport`]. Its `fig` carries the scale tag like every
+/// other figure's, so a `--quick` run never overwrites the paper-scale
+/// `BENCH_pingpong_live.json`.
+fn report(
+    scale: Scale,
+    wall_secs_total: f64,
+    events_total: u64,
+    cells: Vec<CellMeter>,
+) -> BenchReport {
+    BenchReport {
+        fig: scale.tag("pingpong_live"),
         scale: match scale {
             Scale::Paper => "paper",
             Scale::Quick => "quick",
         },
         threads: 1,
-        wall_secs_total: t0.elapsed().as_secs_f64(),
+        wall_secs_total,
         events_total,
         fault_plan: None,
         cells,
-    };
-    (rows, report)
+    }
 }
 
 /// `TRACE=1` file sink for live runs, mirroring the sim launcher's:
@@ -340,4 +351,18 @@ fn flush_live_trace(t: &trace::Tracer) {
     }
     let _ = std::fs::write(dir.join("pingpong_live.pcapng"), dump.write_pcapng());
     let _ = std::fs::write(dir.join("pingpong_live.jsonl"), dump.write_jsonl());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quick_report_is_tagged_quick() {
+        let quick = report(Scale::Quick, 0.0, 0, Vec::new());
+        assert!(quick.fig.ends_with("_quick"), "quick fig {:?}", quick.fig);
+        assert_eq!(quick.scale, "quick");
+        let paper = report(Scale::Paper, 0.0, 0, Vec::new());
+        assert_eq!((paper.fig.as_str(), paper.scale), ("pingpong_live", "paper"));
+    }
 }

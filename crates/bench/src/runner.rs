@@ -50,9 +50,9 @@ pub struct Measured {
     pub bursts_total: u64,
     /// Packets fused inside those trains (each still counts in `events`).
     pub pkts_fused: u64,
-    /// Timers that took the O(1) wheel insert (ditto).
+    /// Always 0: the event queue has no timer wheel (see `simcore::Ctx::wheel_hits`).
     pub wheel_hits: u64,
-    /// Timers beyond the wheel horizon (heap fallback; ditto).
+    /// Events pushed onto the event heap, i.e. every schedule (see `simcore::Ctx::heap_falls`).
     pub heap_falls: u64,
     /// Worker shards the cell's simulation ran on (1 = sequential; ditto —
     /// the partition must not change semantic outputs, so it is not
@@ -127,7 +127,7 @@ impl Measured {
         self
     }
 
-    /// Attach the burst-path and timer-wheel meters.
+    /// Attach the burst-path and event-queue meters.
     pub fn with_burst_meters(
         mut self,
         bursts_total: u64,
@@ -224,9 +224,9 @@ pub struct CellMeter {
     pub bursts_total: u64,
     /// Mean packets per train (fused packets / trains; 0.0 when no trains).
     pub pkts_per_burst_avg: f64,
-    /// Timers that took the O(1) wheel insert.
+    /// Always 0: the event queue has no timer wheel (see `simcore::Ctx::wheel_hits`).
     pub wheel_hits: u64,
-    /// Timers beyond the wheel horizon (heap fallback).
+    /// Events pushed onto the event heap, i.e. every schedule (see `simcore::Ctx::heap_falls`).
     pub heap_falls: u64,
     /// Worker shards the cell's simulation ran on (1 = sequential).
     pub shards: u64,

@@ -8,7 +8,8 @@
 //!    counter bit-for-bit, or the parallel harness (and `SIM_CHECK`)
 //!    would be unsound.
 //! 2. **Discipline equivalence** — the reference event discipline (strict
-//!    heap order) and the fast discipline (wheel + burst paths) must
+//!    heap order) and the fast discipline (burst paths, inline clock
+//!    advances) must
 //!    agree on CMT runs exactly as they do on single-path runs; the
 //!    per-destination timer plane must not depend on pop order.
 //! 3. **`cmt: false` isolation** — multihoming without CMT keeps the
@@ -63,7 +64,7 @@ proptest! {
         prop_assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
-    /// Contract 2: reference (strict heap) and fast (wheel/burst) event
+    /// Contract 2: reference (strict heap) and fast (burst path) event
     /// disciplines agree on CMT runs — the per-destination timer plane
     /// must not depend on pop order.
     #[test]
@@ -79,9 +80,10 @@ proptest! {
         let reference = run_stream(cfg(3, cmt, loss, seed), c);
         simcore::set_reference_discipline(false);
         // Wall-clock-free fields only live in PingPongResult, so the full
-        // fingerprint is comparable — but wheel_hits/heap_falls genuinely
-        // differ between disciplines, so compare the simulation-visible
-        // outcome instead.
+        // fingerprint is comparable — but heap_falls (event-heap pushes)
+        // genuinely differs between disciplines, because the fast one fuses
+        // packet trains into fewer scheduled events, so compare the
+        // simulation-visible outcome instead.
         prop_assert_eq!(fast.secs.to_bits(), reference.secs.to_bits());
         prop_assert_eq!(fast.throughput.to_bits(), reference.throughput.to_bits());
         prop_assert_eq!(format!("{:?}", fast.sctp), format!("{:?}", reference.sctp));

@@ -31,7 +31,8 @@ fn quick_sweep_completes_over_real_sockets() {
     // harness writes, so `results/` diffing treats live and sim runs alike.
     let dir = std::env::temp_dir().join(format!("live_smoke_{}", std::process::id()));
     report.save_to(&dir);
-    let path = dir.join("BENCH_pingpong_live.json");
+    assert_eq!(report.fig, "pingpong_live_quick", "quick must not overwrite the paper record");
+    let path = dir.join("BENCH_pingpong_live_quick.json");
     let text = std::fs::read_to_string(&path).expect("report written");
     assert_eq!(sniff_schema_version(&text), SCHEMA_VERSION);
     let _ = std::fs::remove_dir_all(&dir);

@@ -2,7 +2,7 @@
 //!
 //! The allocation gate (`alloc_threshold.rs`) catches pools falling out of
 //! the packet plane; this gate catches everything else that makes events
-//! slower — a timer landing back on the heap, a SACK scan going quadratic,
+//! slower — an event-queue operation turning linear, a SACK scan going quadratic,
 //! an accidental per-packet clone. It runs the Figure-10 farm at `--quick`
 //! scale on one worker thread and fails if microseconds per simulator
 //! event creep past the budget.
@@ -45,6 +45,6 @@ fn farm_quick_stays_within_time_budget() {
         "performance regression: {us_per_event:.3} µs/event exceeds budget \
          {MAX_US_PER_EVENT} (pooled baseline ~0.7; pre-pool harness ~4.9). \
          Profile with `cargo bench -p bench-harness --bench hot_paths` and \
-         check the timer wheel, SACK fast paths, and pool coverage first."
+         check the event queue, SACK fast paths, and pool coverage first."
     );
 }

@@ -217,9 +217,9 @@ pub struct MpiReport {
     pub bursts_total: u64,
     /// Packets fused inside those trains (each still counts in `events`).
     pub pkts_fused: u64,
-    /// Timers that took the O(1) wheel insert (diagnostic).
+    /// Always 0: the event queue has no timer wheel (see `simcore::Ctx::wheel_hits`).
     pub wheel_hits: u64,
-    /// Timers beyond the wheel horizon (heap fallback).
+    /// Events pushed onto the event heap, i.e. every schedule (see `simcore::Ctx::heap_falls`).
     pub heap_falls: u64,
     pub net: NetStats,
     /// Aggregate TCP socket stats across hosts (zero for SCTP runs).

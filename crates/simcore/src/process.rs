@@ -443,9 +443,9 @@ pub struct RunOutcome<W> {
     pub bursts_total: u64,
     /// Packets carried inside those trains; each still counts in `events`.
     pub pkts_fused: u64,
-    /// Timers that took the O(1) wheel insert (diagnostic).
+    /// Always 0: the event queue has no timer wheel (see [`Ctx::wheel_hits`]).
     pub wheel_hits: u64,
-    /// Timers beyond the wheel horizon that fell back to the heap.
+    /// Events pushed onto the event heap (see [`Ctx::heap_falls`]).
     pub heap_falls: u64,
 }
 

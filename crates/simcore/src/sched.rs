@@ -9,24 +9,27 @@
 //!
 //! # Queue structure
 //!
-//! The queue front is a hashed timer wheel: `WHEEL_SLOTS` buckets of
-//! `WHEEL_GRAIN_NS` nanoseconds each, covering a `WHEEL_HORIZON_NS`
-//! look-ahead window. Timers inside the horizon — packet deliveries, CPU
-//! charges, delayed ACKs at LAN scale — insert in O(1); timers beyond it
-//! (RTOs, heartbeats, watchdogs) fall back to a binary heap of small `Copy`
-//! keys. Because every wheel entry lives within one horizon of `now`,
-//! walking the occupancy bitmap circularly from `now`'s bucket visits
-//! buckets in time order, and the earliest event is the (time, seq)-minimum
-//! of the first non-empty bucket versus the heap top.
-//!
-//! Event payloads live in a slab of reusable slots, with the closure stored
-//! *inline* in the slot when it fits (`INLINE_WORDS` words) — the
-//! dominant short-horizon timers allocate nothing at all; oversized
-//! closures degrade to one boxed allocation. [`TimerId`] is a
+//! Live events sit in one binary heap of small `Copy` keys ordered by
+//! (time, seq), so the earliest event is the heap top and every insert or
+//! pop is O(log n). Event payloads live in a slab of reusable slots, with
+//! the closure stored *inline* in the slot when it fits (`INLINE_WORDS`
+//! words): the dominant short-horizon timers allocate nothing at all, and
+//! oversized closures degrade to one boxed allocation. [`TimerId`] is a
 //! (slot, generation) pair, so `cancel` is O(1): it drops the closure,
-//! frees the slot, and bumps the generation, leaving a stale `Copy` key in
-//! the wheel or heap that is discarded when next encountered (heap
-//! tombstones are additionally bounded by compaction).
+//! frees the slot and bumps the generation. The stale key it leaves in the
+//! heap is discarded when it reaches the top, and compaction bounds how
+//! many stale keys the heap carries.
+//!
+//! A second heap holds the ghost keys of [`Ctx::cancel_counted`] timers
+//! (see there). It stays separate so that the common short timers never
+//! pay log(#ghosts) on their push and pop.
+//!
+//! There is no timer wheel. A two-level hashed wheel (4096 buckets at
+//! 8.2 µs and at 2.1 ms grain) with this heap as a third tier used to sit
+//! in front of it. Measured with `perfbench` on a 2-vCPU VM, the heap alone
+//! costs the same CPU or less on every simulator workload and less memory
+//! on all of them, and the scheduler's traced cost per event fell on each
+//! (incast: 101 → 69 ns). EXPERIMENTS.md has the table.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -151,41 +154,8 @@ pub(crate) enum Popped<W> {
 }
 
 // ---------------------------------------------------------------------------
-// Wheel + heap + slab
+// Heap + slab
 // ---------------------------------------------------------------------------
-
-/// Wheel bucket granularity (2^13 ns ≈ 8.2 µs — a handful of buckets per
-/// LAN packet time).
-const WHEEL_SHIFT: u32 = 13;
-/// Number of wheel buckets (one horizon = one full revolution).
-const WHEEL_SLOTS: usize = 4096;
-const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
-/// Look-ahead the wheel covers (≈ 33.6 ms); anything further heads to the
-/// heap. Public so the equivalence proptests can aim timers at both sides
-/// of the boundary.
-pub const WHEEL_HORIZON_NS: u64 = (WHEEL_SLOTS as u64) << WHEEL_SHIFT;
-/// Exposed for the scheduler equivalence proptests: granularity in ns.
-pub const WHEEL_GRAIN_NS: u64 = 1 << WHEEL_SHIFT;
-
-/// Second-level wheel granularity (2^21 ns ≈ 2.1 ms). Coarse timers — RTO
-/// (hundreds of ms), heartbeats, farm compute sleeps — land here instead
-/// of falling to the heap.
-const WHEEL2_SHIFT: u32 = 21;
-/// Look-ahead of the second-level wheel (≈ 8.6 s). Only timers beyond
-/// *this* still fall to the heap.
-pub const WHEEL2_HORIZON_NS: u64 = (WHEEL_SLOTS as u64) << WHEEL2_SHIFT;
-/// Second-level granularity in ns, exposed for the equivalence proptests.
-pub const WHEEL2_GRAIN_NS: u64 = 1 << WHEEL2_SHIFT;
-
-#[inline]
-fn bucket_of(at: SimTime) -> usize {
-    ((at.as_nanos() >> WHEEL_SHIFT) as usize) & (WHEEL_SLOTS - 1)
-}
-
-#[inline]
-fn bucket2_of(at: SimTime) -> usize {
-    ((at.as_nanos() >> WHEEL2_SHIFT) as usize) & (WHEEL_SLOTS - 1)
-}
 
 /// Ordering key of one queued event. `Copy`, so stale (cancelled) keys cost
 /// nothing to carry and nothing to skip.
@@ -201,12 +171,9 @@ struct Key {
 struct Slot<W> {
     gen: u32,
     occupied: bool,
-    /// Whether the live key referencing this slot sits in the heap (false:
-    /// wheel) — lets `cancel` charge the right tombstone counter.
-    in_heap: bool,
     /// The (time, seq) the live key was inserted under, so
     /// [`Ctx::cancel_counted`] can reconstruct the ghost key without
-    /// touching the wheel. Valid while `occupied`.
+    /// searching the heap. Valid while `occupied`.
     at: SimTime,
     seq: u64,
     ev: MaybeUninit<InlineEvent<W>>,
@@ -218,18 +185,7 @@ pub struct Ctx<W> {
     seq: u64,
     slots: Vec<Slot<W>>,
     free: Vec<u32>,
-    wheel: Box<[Vec<Key>; WHEEL_SLOTS]>,
-    /// Occupancy bitmap over `wheel` (bit set ⇔ bucket non-empty).
-    occ: [u64; WHEEL_WORDS],
-    /// Entries currently in the wheel, stale keys included.
-    wheel_len: usize,
-    /// Second-level wheel: same slot count at a 256× coarser grain, so
-    /// multi-second timers stay O(1) instead of falling to the heap.
-    wheel2: Box<[Vec<Key>; WHEEL_SLOTS]>,
-    /// Occupancy bitmap over `wheel2`.
-    occ2: [u64; WHEEL_WORDS],
-    /// Entries currently in the second-level wheel, stale keys included.
-    wheel2_len: usize,
+    /// Keys of every scheduled event, stale (cancelled) keys included.
     heap: BinaryHeap<Reverse<Key>>,
     /// Stale keys currently in the heap; bounded by compaction.
     heap_dead: usize,
@@ -241,14 +197,6 @@ pub struct Ctx<W> {
     /// outputs and event counts stay bit-identical while the slab slot and
     /// the closure dispatch are reclaimed immediately.
     ghosts: BinaryHeap<Reverse<(SimTime, u64)>>,
-    /// Conservative lower bound on every queued key: `low <= (at, seq)` for
-    /// each live entry in the wheel or heap. Kept valid for free — inserts
-    /// `min` it down, pops tighten it to the popped key (the queue minimum,
-    /// so no smaller key remains), cancels only remove keys — and refreshed
-    /// by a full scan only when a fast-path check cannot be decided from the
-    /// bound alone. Lets `try_advance_to`/`try_advance_sleep` skip the scan
-    /// on the common quiescent path.
-    low: (SimTime, u64),
     wake_fifo: VecDeque<ProcId>,
     wake_pending: FxHashSet<ProcId>,
     /// `sleeping[p]` is true while process `p` is parked inside
@@ -268,7 +216,6 @@ pub struct Ctx<W> {
     deadline: SimTime,
     wakes_suppressed: u64,
     sleep_fastpaths: u64,
-    wheel_hits: u64,
     heap_falls: u64,
     bursts: u64,
     fused_pkts: u64,
@@ -293,16 +240,9 @@ impl<W> Ctx<W> {
             seq: 0,
             slots: Vec::new(),
             free: Vec::new(),
-            wheel: Box::new(std::array::from_fn(|_| Vec::new())),
-            occ: [0; WHEEL_WORDS],
-            wheel_len: 0,
-            wheel2: Box::new(std::array::from_fn(|_| Vec::new())),
-            occ2: [0; WHEEL_WORDS],
-            wheel2_len: 0,
             heap: BinaryHeap::new(),
             heap_dead: 0,
             ghosts: BinaryHeap::new(),
-            low: (SimTime::MAX, u64::MAX),
             wake_fifo: VecDeque::new(),
             wake_pending: FxHashSet::default(),
             sleeping: Vec::new(),
@@ -310,7 +250,6 @@ impl<W> Ctx<W> {
             deadline: SimTime::MAX,
             wakes_suppressed: 0,
             sleep_fastpaths: 0,
-            wheel_hits: 0,
             heap_falls: 0,
             bursts: 0,
             fused_pkts: 0,
@@ -424,13 +363,18 @@ impl<W> Ctx<W> {
         self.sleep_fastpaths
     }
 
-    /// Timers that landed in the wheel (short horizon, O(1) bucket insert).
+    /// Always 0: the event queue has no timer wheel. Kept, with the
+    /// `wheel_hits` report fields, so report consumers keep their shape;
+    /// deleting it waits for the shared counter registry (ROADMAP.md,
+    /// item 3).
     #[inline]
     pub fn wheel_hits(&self) -> u64 {
-        self.wheel_hits
+        0
     }
 
-    /// Timers beyond the wheel horizon that fell back to the heap.
+    /// Events pushed onto the event heap: every scheduled event, since the
+    /// heap is the only live-event queue. Kept under its old name until the
+    /// shared counter registry (ROADMAP.md, item 3) replaces it.
     #[inline]
     pub fn heap_falls(&self) -> u64 {
         self.heap_falls
@@ -476,24 +420,19 @@ impl<W> Ctx<W> {
         self.seq
     }
 
-    fn alloc_slot(&mut self, ev: InlineEvent<W>, in_heap: bool) -> (u32, u32) {
+    /// Store `ev` in a free slab slot under the key (`at`, `seq`).
+    fn alloc_slot(&mut self, ev: InlineEvent<W>, at: SimTime, seq: u64) -> (u32, u32) {
         if let Some(idx) = self.free.pop() {
             let s = &mut self.slots[idx as usize];
             debug_assert!(!s.occupied, "freelist slot still occupied");
             s.occupied = true;
-            s.in_heap = in_heap;
+            s.at = at;
+            s.seq = seq;
             s.ev.write(ev);
             (idx, s.gen)
         } else {
             let idx = self.slots.len() as u32;
-            self.slots.push(Slot {
-                gen: 0,
-                occupied: true,
-                in_heap,
-                at: SimTime::ZERO,
-                seq: 0,
-                ev: MaybeUninit::new(ev),
-            });
+            self.slots.push(Slot { gen: 0, occupied: true, at, seq, ev: MaybeUninit::new(ev) });
             (idx, 0)
         }
     }
@@ -507,54 +446,13 @@ impl<W> Ctx<W> {
         self.free.push(idx);
     }
 
-    /// Insert an event at (`at`, `seq`): wheel when inside the horizon, heap
-    /// otherwise. `at` must already be clamped to `>= now`.
+    /// Insert an event at (`at`, `seq`). `at` must already be clamped to
+    /// `>= now`.
     fn insert(&mut self, at: SimTime, seq: u64, ev: InlineEvent<W>) -> TimerId {
         debug_assert!(at >= self.now);
-        // Gate on *bucket* distance, not nanosecond distance: from a
-        // non-grain-aligned `now`, a timer with `at - now` just under the
-        // horizon can still lie a full revolution of buckets ahead, which
-        // would wrap into the scan-start bucket and fire before earlier
-        // timers in later buckets. Bucket distance < WHEEL_SLOTS makes a
-        // wrapped-to-start entry unrepresentable.
-        let near = (at.as_nanos() >> WHEEL_SHIFT) - (self.now.as_nanos() >> WHEEL_SHIFT)
-            < WHEEL_SLOTS as u64;
-        // Same gate at the coarse grain: RTOs, heartbeats and compute sleeps
-        // (milliseconds to seconds out) land in the second wheel instead of
-        // the heap; only timers past ~8.6 s still fall.
-        let far = !near
-            && (at.as_nanos() >> WHEEL2_SHIFT) - (self.now.as_nanos() >> WHEEL2_SHIFT)
-                < WHEEL_SLOTS as u64;
-        let (idx, gen) = self.alloc_slot(ev, !(near || far));
-        {
-            let s = &mut self.slots[idx as usize];
-            s.at = at;
-            s.seq = seq;
-        }
-        let key = Key { at, seq, idx, gen };
-        if (at, seq) < self.low {
-            self.low = (at, seq);
-        }
-        if near {
-            let b = bucket_of(at);
-            if self.wheel[b].is_empty() {
-                self.occ[b / 64] |= 1 << (b % 64);
-            }
-            self.wheel[b].push(key);
-            self.wheel_len += 1;
-            self.wheel_hits += 1;
-        } else if far {
-            let b = bucket2_of(at);
-            if self.wheel2[b].is_empty() {
-                self.occ2[b / 64] |= 1 << (b % 64);
-            }
-            self.wheel2[b].push(key);
-            self.wheel2_len += 1;
-            self.wheel_hits += 1;
-        } else {
-            self.heap.push(Reverse(key));
-            self.heap_falls += 1;
-        }
+        let (idx, gen) = self.alloc_slot(ev, at, seq);
+        self.heap.push(Reverse(Key { at, seq, idx, gen }));
+        self.heap_falls += 1;
         TimerId::pack(idx, gen)
     }
 
@@ -618,23 +516,10 @@ impl<W> Ctx<W> {
     /// Cancel a previously scheduled timer. Cancelling an already-fired or
     /// already-cancelled timer is a generation mismatch and a no-op. O(1):
     /// the closure is dropped and the slot freed immediately; the stale key
-    /// left in the wheel/heap is skipped (and, in the heap, bounded by
-    /// compaction).
+    /// left in the heap is skipped when it reaches the top and bounded by
+    /// compaction.
     pub fn cancel(&mut self, id: TimerId) {
-        let (idx, gen) = id.unpack();
-        let Some(s) = self.slots.get_mut(idx as usize) else { return };
-        if !s.occupied || s.gen != gen {
-            return;
-        }
-        // Safety: occupied ⇒ initialized; moving it out and dropping runs
-        // the closure's destructor exactly once.
-        let ev = unsafe { s.ev.assume_init_read() };
-        drop(ev);
-        if s.in_heap {
-            self.heap_dead += 1;
-        }
-        self.free_slot(idx);
-        self.maybe_compact_heap();
+        self.retire(id);
     }
 
     /// Cancel a timer while preserving the event-count and fire-order
@@ -653,23 +538,28 @@ impl<W> Ctx<W> {
     /// already-cancelled id is a generation mismatch and a no-op, exactly
     /// like [`Ctx::cancel`].
     pub fn cancel_counted(&mut self, id: TimerId) -> bool {
-        let (idx, gen) = id.unpack();
-        let Some(s) = self.slots.get_mut(idx as usize) else { return false };
-        if !s.occupied || s.gen != gen {
-            return false;
-        }
-        let ghost = (s.at, s.seq);
-        // Safety: occupied ⇒ initialized; moving it out and dropping runs
-        // the closure's destructor exactly once.
-        let ev = unsafe { s.ev.assume_init_read() };
-        drop(ev);
-        if s.in_heap {
-            self.heap_dead += 1;
-        }
-        self.free_slot(idx);
-        self.maybe_compact_heap();
+        let Some(ghost) = self.retire(id) else { return false };
         self.ghosts.push(Reverse(ghost));
         true
+    }
+
+    /// Drop a live timer's closure and free its slot, leaving its heap key
+    /// stale. Returns the (time, seq) it was queued under, or `None` if `id`
+    /// already fired or was cancelled.
+    fn retire(&mut self, id: TimerId) -> Option<(SimTime, u64)> {
+        let (idx, gen) = id.unpack();
+        let s = self.slots.get_mut(idx as usize)?;
+        if !s.occupied || s.gen != gen {
+            return None;
+        }
+        let key = (s.at, s.seq);
+        // Safety: occupied ⇒ initialized; dropping in place runs the
+        // closure's destructor exactly once, and the slot is freed below.
+        unsafe { s.ev.assume_init_drop() };
+        self.free_slot(idx);
+        self.heap_dead += 1;
+        self.maybe_compact_heap();
+        Some(key)
     }
 
     /// Batched cancel + rearm: retire `id` (ghost-counted, see
@@ -698,9 +588,7 @@ impl<W> Ctx<W> {
 
     /// Rebuild the heap without stale keys once they outnumber the live
     /// ones; keeps long timer-churn runs (every SACK re-arms a timer) from
-    /// dragging an ever-growing heap through every push/pop. Wheel buckets
-    /// need no analogue: every bucket is swept within one horizon
-    /// revolution as the pop scan passes it.
+    /// dragging an ever-growing heap through every push/pop.
     fn maybe_compact_heap(&mut self) {
         if self.heap_dead <= 32 || self.heap_dead * 2 <= self.heap.len() {
             return;
@@ -773,13 +661,8 @@ impl<W> Ctx<W> {
         if to > self.deadline {
             return false;
         }
-        // `low.0 > to` proves no queued event fires at or before the target;
-        // otherwise pay one scan to refresh the bound and re-check exactly.
-        if self.low.0 <= to {
-            self.low = self.next_event_key().unwrap_or((SimTime::MAX, u64::MAX));
-            if self.low.0 <= to {
-                return false;
-            }
+        if self.queue_min().is_some_and(|(at, _)| at <= to) {
+            return false;
         }
         self.now = to;
         self.events_fired += 1;
@@ -791,22 +674,17 @@ impl<W> Ctx<W> {
     /// arrival at (`at`, `seq`) — `seq` being the sequence number the
     /// packet's own delivery event holds in reserve — iff firing it now is
     /// exactly what the per-packet discipline would do next: no wake is
-    /// pending (a woken process would run first), no queued event (stale
-    /// keys conservatively included) orders before `(at, seq)`, and the run
-    /// deadline is not crossed. Counts the fused delivery as one fired
-    /// event, keeping `events_fired` bit-identical to per-packet runs.
+    /// pending (a woken process would run first), no queued event (ghosts
+    /// included) orders before `(at, seq)`, and the run deadline is not
+    /// crossed. Counts the fused delivery as one fired event, keeping
+    /// `events_fired` bit-identical to per-packet runs.
     pub fn try_advance_to(&mut self, at: SimTime, seq: u64) -> bool {
         debug_assert!(!self.reference, "burst path must not run under the reference discipline");
         if !self.wake_fifo.is_empty() || at > self.deadline {
             return false;
         }
-        // `low > (at, seq)` proves every queued key orders after the fused
-        // packet; otherwise refresh the bound with one scan and re-check.
-        if self.low <= (at, seq) {
-            self.low = self.next_event_key().unwrap_or((SimTime::MAX, u64::MAX));
-            if self.low < (at, seq) {
-                return false;
-            }
+        if self.queue_min().is_some_and(|key| key < (at, seq)) {
+            return false;
         }
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
@@ -858,128 +736,6 @@ impl<W> Ctx<W> {
         self.wake_pending.clear();
     }
 
-    /// Visit occupied buckets of `occ` circularly from `start`, calling `f`
-    /// until it returns `true` (stop) or a full revolution completes.
-    /// Associated (not a method) so callers can pass either level's bitmap
-    /// while the closure borrows that level's buckets.
-    fn for_each_occupied_from(
-        occ: &[u64; WHEEL_WORDS],
-        start: usize,
-        mut f: impl FnMut(usize) -> bool,
-    ) {
-        let sw = start / 64;
-        let sb = start % 64;
-        // First (partial) word: bits at or after the start bucket.
-        let mut word = occ[sw] & (!0u64 << sb);
-        let mut wi = sw;
-        for step in 0..=WHEEL_WORDS {
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                let b = wi * 64 + bit;
-                // On the wrap-around revisit of the start word, stop at the
-                // start bucket: one full revolution covers every bucket once.
-                if step == WHEEL_WORDS && b >= start {
-                    return;
-                }
-                if f(b) {
-                    return;
-                }
-                word &= word - 1;
-            }
-            if step == WHEEL_WORDS {
-                return;
-            }
-            wi = (wi + 1) % WHEEL_WORDS;
-            word = occ[wi];
-            if step + 1 == WHEEL_WORDS && wi == sw {
-                // Wrapped back to the start word: only bits before the start
-                // bucket remain unvisited.
-                word &= !(!0u64 << sb);
-                if word == 0 {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Sweep stale keys out of bucket `b` of the chosen level; returns
-    /// (position, key) of the bucket's (time, seq)-minimum, or `None` if it
-    /// swept empty.
-    #[inline]
-    fn sweep_bucket_min(&mut self, b: usize, level2: bool) -> Option<(usize, Key)> {
-        let slots = &self.slots;
-        let (v, len, occ) = if level2 {
-            (&mut self.wheel2[b], &mut self.wheel2_len, &mut self.occ2)
-        } else {
-            (&mut self.wheel[b], &mut self.wheel_len, &mut self.occ)
-        };
-        let mut i = 0;
-        let mut cleaned = 0;
-        while i < v.len() {
-            let k = v[i];
-            if slots[k.idx as usize].gen != k.gen {
-                v.swap_remove(i);
-                cleaned += 1;
-            } else {
-                i += 1;
-            }
-        }
-        let min = if v.is_empty() {
-            None
-        } else {
-            let mut pos = 0;
-            let mut key = v[0];
-            for (j, k) in v.iter().enumerate().skip(1) {
-                if (k.at, k.seq) < (key.at, key.seq) {
-                    pos = j;
-                    key = *k;
-                }
-            }
-            Some((pos, key))
-        };
-        *len -= cleaned;
-        if min.is_none() {
-            occ[b / 64] &= !(1 << (b % 64));
-        }
-        min
-    }
-
-    /// Earliest entry of one wheel level: first non-empty bucket circularly
-    /// from `now`, stale keys swept out as encountered. Returns (bucket,
-    /// position, key).
-    fn wheel_min_clean(&mut self, level2: bool) -> Option<(usize, usize, Key)> {
-        let (mut start, horizon) = if level2 {
-            (bucket2_of(self.now), WHEEL2_HORIZON_NS)
-        } else {
-            (bucket_of(self.now), WHEEL_HORIZON_NS)
-        };
-        loop {
-            let len = if level2 { self.wheel2_len } else { self.wheel_len };
-            if len == 0 {
-                return None;
-            }
-            let occ = if level2 { &self.occ2 } else { &self.occ };
-            let mut found = None;
-            Self::for_each_occupied_from(occ, start, |b| {
-                found = Some(b);
-                true
-            });
-            let b = found?;
-            if let Some((pos, key)) = self.sweep_bucket_min(b, level2) {
-                debug_assert!(
-                    key.at.as_nanos() - self.now.as_nanos() < horizon,
-                    "live wheel entry beyond the horizon: the insert gate is broken"
-                );
-                return Some((b, pos, key));
-            }
-            // The bucket held only stale keys and swept empty (its occupancy
-            // bit is now clear); resume the revolution right after it. Every
-            // bucket between the original start and `b` is already known
-            // empty, so no bucket is visited out of circular time order.
-            start = (b + 1) & (WHEEL_SLOTS - 1);
-        }
-    }
-
     /// Earliest live heap key, popping stale tops.
     fn heap_min_clean(&mut self) -> Option<Key> {
         while let Some(Reverse(k)) = self.heap.peek() {
@@ -993,35 +749,26 @@ impl<W> Ctx<W> {
         None
     }
 
+    /// (time, seq) of the earliest queued event, ghosts included, after
+    /// popping stale heap tops: what the inline fast paths must not jump.
+    fn queue_min(&mut self) -> Option<(SimTime, u64)> {
+        let live = self.heap_min_clean().map(|k| (k.at, k.seq));
+        let ghost = self.ghosts.peek().map(|&Reverse(g)| g);
+        min_key(live, ghost)
+    }
+
     /// Pop the next non-cancelled event no later than `bound`, advancing the
-    /// clock to its timestamp. One scan decides emptiness, the deadline
+    /// clock to its timestamp. One peek decides emptiness, the deadline
     /// check, and the pop — the driver loop needs no separate
     /// [`Ctx::next_event_time`] peek per event.
     fn pop_next(&mut self, bound: SimTime) -> Popped<W> {
-        let w1 = self.wheel_min_clean(false);
-        let w2 = self.wheel_min_clean(true);
-        let heap_min = self.heap_min_clean();
-        // Pick the (time, seq) minimum of the three structures without
-        // removing it yet: a key past `bound` must stay queued. Keys are
-        // unique in (at, seq), so strict `<` suffices.
-        let mut best: Option<(Key, Option<(bool, usize, usize)>)> =
-            w1.map(|(b, pos, k)| (k, Some((false, b, pos))));
-        if let Some((b, pos, k)) = w2 {
-            if best.as_ref().is_none_or(|(bk, _)| (k.at, k.seq) < (bk.at, bk.seq)) {
-                best = Some((k, Some((true, b, pos))));
-            }
-        }
-        if let Some(k) = heap_min {
-            if best.as_ref().is_none_or(|(bk, _)| (k.at, k.seq) < (bk.at, bk.seq)) {
-                best = Some((k, None));
-            }
-        }
+        let live = self.heap_min_clean();
         // Drain every ghost that orders before the live minimum, with the
-        // same accounting its no-op event would have had: clock advance,
-        // `low` tightened, one `events_fired` tick. A ghost past `bound`
-        // stays queued and answers `PastBound`, exactly as the no-op would.
+        // same accounting its no-op event would have had: clock advance and
+        // one `events_fired` tick. A ghost past `bound` stays queued and
+        // answers `PastBound`, exactly as the no-op would.
         while let Some(&Reverse(g)) = self.ghosts.peek() {
-            if best.as_ref().is_some_and(|(bk, _)| (bk.at, bk.seq) < g) {
+            if live.is_some_and(|k| (k.at, k.seq) < g) {
                 break;
             }
             if g.0 > bound {
@@ -1030,34 +777,14 @@ impl<W> Ctx<W> {
             self.ghosts.pop();
             debug_assert!(g.0 >= self.now, "ghost predates the clock");
             self.now = self.now.max(g.0);
-            self.low = g;
             self.events_fired += 1;
             self.ghost_fires += 1;
         }
-        let Some((key, loc)) = best else { return Popped::Empty };
+        let Some(key) = live else { return Popped::Empty };
         if key.at > bound {
             return Popped::PastBound;
         }
-        match loc {
-            Some((level2, b, pos)) => {
-                let (wheel, len, occ) = if level2 {
-                    (&mut self.wheel2, &mut self.wheel2_len, &mut self.occ2)
-                } else {
-                    (&mut self.wheel, &mut self.wheel_len, &mut self.occ)
-                };
-                wheel[b].swap_remove(pos);
-                *len -= 1;
-                if wheel[b].is_empty() {
-                    occ[b / 64] &= !(1 << (b % 64));
-                }
-            }
-            None => {
-                self.heap.pop();
-            }
-        }
-        // The popped key was the queue minimum, so no smaller key remains:
-        // it is the tightest free lower bound for the fast paths.
-        self.low = (key.at, key.seq);
+        self.heap.pop();
         let s = &mut self.slots[key.idx as usize];
         debug_assert!(s.occupied && s.gen == key.gen);
         // Safety: a live key ⇒ its slot payload is initialized; the value is
@@ -1091,62 +818,23 @@ impl<W> Ctx<W> {
         self.next_event_key().map(|(t, _)| t)
     }
 
-    /// (time, seq) of the next pending event. Conservative: stale keys are
-    /// included (they order no later than any live event they shadow), so
-    /// callers using this to gate inline fast paths only ever decline, never
-    /// jump the queue.
+    /// (time, seq) of the next pending event. Conservative: a stale heap
+    /// top is included (it orders no later than any live event behind it),
+    /// so callers using this to gate inline fast paths only ever decline,
+    /// never jump the queue. Ghosts count as queued events, like the
+    /// abandoned no-op events they replace.
     pub fn next_event_key(&self) -> Option<(SimTime, u64)> {
-        let mut best: Option<(SimTime, u64)> = None;
-        if self.wheel_len > 0 {
-            let start = bucket_of(self.now);
-            Self::for_each_occupied_from(&self.occ, start, |b| {
-                best = self.wheel[b].iter().map(|k| (k.at, k.seq)).min();
-                best.is_some()
-            });
-            // Stale keys may predate `now`, but nothing (live or stale) can
-            // sit more than one horizon ahead — a wrapped near-horizon entry
-            // here would make the returned key larger than the true queue
-            // minimum and break the fast paths' lower-bound contract.
-            debug_assert!(
-                best.is_none_or(
-                    |(at, _)| at.as_nanos() < self.now.as_nanos().saturating_add(WHEEL_HORIZON_NS)
-                ),
-                "wheel key beyond the horizon: the insert gate is broken"
-            );
-        }
-        if self.wheel2_len > 0 {
-            let start = bucket2_of(self.now);
-            let mut best2: Option<(SimTime, u64)> = None;
-            Self::for_each_occupied_from(&self.occ2, start, |b| {
-                best2 = self.wheel2[b].iter().map(|k| (k.at, k.seq)).min();
-                best2.is_some()
-            });
-            debug_assert!(
-                best2.is_none_or(
-                    |(at, _)| at.as_nanos() < self.now.as_nanos().saturating_add(WHEEL2_HORIZON_NS)
-                ),
-                "second-level wheel key beyond the horizon: the insert gate is broken"
-            );
-            if let Some(k2) = best2 {
-                if best.is_none_or(|b| k2 < b) {
-                    best = Some(k2);
-                }
-            }
-        }
-        if let Some(Reverse(k)) = self.heap.peek() {
-            let hk = (k.at, k.seq);
-            if best.is_none_or(|b| hk < b) {
-                best = Some(hk);
-            }
-        }
-        // Ghosts gate the fast paths exactly like the abandoned no-op
-        // events they replace: a pending ghost is a queued key.
-        if let Some(&Reverse(g)) = self.ghosts.peek() {
-            if best.is_none_or(|b| g < b) {
-                best = Some(g);
-            }
-        }
-        best
+        let top = self.heap.peek().map(|&Reverse(k)| (k.at, k.seq));
+        min_key(top, self.ghosts.peek().map(|&Reverse(g)| g))
+    }
+}
+
+/// The smaller of two optional keys (`None` is "nothing queued", not the
+/// minimum).
+fn min_key(a: Option<(SimTime, u64)>, b: Option<(SimTime, u64)>) -> Option<(SimTime, u64)> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 
@@ -1205,17 +893,17 @@ mod tests {
 
     #[test]
     fn near_and_far_timers_interleave_in_order() {
-        // Mix timers across all three backends (L1 wheel, L2 wheel, heap);
-        // the pop order must be globally (time, seq) sorted.
+        // Delays from µs to tens of seconds, inserted out of order; the
+        // pop order must be globally (time, seq) sorted.
         let mut c = ctx();
         let mut w = Vec::new();
         let delays = [
-            (20_000_000_000u64, 5u32), // past the L2 horizon (heap)
-            (10_000, 0),               // L1 wheel
-            (1_000_000_000, 3),        // L2 wheel
-            (20_000, 1),               // L1 wheel
-            (40_000_000, 2),           // just past the L1 horizon (L2 wheel)
-            (2_000_000_000, 4),        // L2 wheel
+            (20_000_000_000u64, 5u32),
+            (10_000, 0),
+            (1_000_000_000, 3),
+            (20_000, 1),
+            (40_000_000, 2),
+            (2_000_000_000, 4),
         ];
         for &(d, tag) in &delays {
             c.schedule_in(Dur::from_nanos(d), move |w: &mut Vec<u32>, _| w.push(tag));
@@ -1226,17 +914,15 @@ mod tests {
 
     #[test]
     fn near_horizon_timer_from_unaligned_now_does_not_wrap() {
-        // Regression: with `now` not grain-aligned, a delay just under the
-        // horizon lies a full revolution of buckets ahead. It must fall to
-        // the next level down (today the L2 wheel), not wrap into the
-        // scan-start bucket — which fired it before earlier timers in later
-        // buckets (and tripped the "time went backwards" debug assertion).
+        // From an odd `now` (100 ns), a ~33.6 ms timer scheduled before a
+        // 10 µs one must still fire after it. (A bucketed queue once wrapped
+        // exactly this timer into the scan-start bucket and fired it early.)
         let mut c = ctx();
         let mut w = Vec::new();
         c.schedule_at(SimTime::from_nanos(100), |w: &mut Vec<u32>, _| w.push(0));
         drain(&mut w, &mut c);
         assert_eq!(c.now(), SimTime::from_nanos(100));
-        c.schedule_in(Dur::from_nanos(WHEEL_HORIZON_NS - 50), |w: &mut Vec<u32>, _| w.push(2));
+        c.schedule_in(Dur::from_nanos(33_554_382), |w: &mut Vec<u32>, _| w.push(2));
         c.schedule_in(Dur::from_micros(10), |w: &mut Vec<u32>, _| w.push(1));
         drain(&mut w, &mut c);
         assert_eq!(w, vec![0, 1, 2]);
@@ -1244,15 +930,14 @@ mod tests {
 
     #[test]
     fn next_event_key_is_a_lower_bound_near_the_horizon() {
-        // Same wrap scenario as above, but through the fast-path probe: the
-        // reported key must be the true queue minimum (the 10 µs timer), not
-        // the wrapped near-horizon one — otherwise `try_advance_to` could
-        // jump the clock past a queued earlier event.
+        // Same scenario as above, but through the probe the sharded engine
+        // and the live reactor use: the reported key must be the true queue
+        // minimum (the 10 µs timer), not the earlier-scheduled far one.
         let mut c = ctx();
         let mut w = Vec::new();
         c.schedule_at(SimTime::from_nanos(100), |w: &mut Vec<u32>, _| w.push(0));
         drain(&mut w, &mut c);
-        c.schedule_in(Dur::from_nanos(WHEEL_HORIZON_NS - 50), |_: &mut Vec<u32>, _| {});
+        c.schedule_in(Dur::from_nanos(33_554_382), |_: &mut Vec<u32>, _| {});
         c.schedule_in(Dur::from_micros(10), |_: &mut Vec<u32>, _| {});
         assert_eq!(
             c.next_event_time(),
@@ -1361,38 +1046,26 @@ mod tests {
 
     #[test]
     fn heap_tombstones_are_bounded_under_churn() {
-        let mut c = ctx();
-        // Re-arm/cancel churn on far-horizon timers (heap residents), as
-        // the SCTP T3 and SACK timers do on every ack.
-        for i in 0..10_000u64 {
-            let id = c.schedule_in(Dur::from_secs(1 + i), |_: &mut Vec<u32>, _| {});
-            c.cancel(id);
+        // Re-arm/cancel churn, as the SCTP T3 and SACK timers do on every
+        // ack: second-scale (RTO) and µs-scale (delayed ACK) delays.
+        let scales: [fn(u64) -> Dur; 2] = [Dur::from_secs, Dur::from_micros];
+        for delay in scales {
+            let mut c = ctx();
+            for i in 0..10_000u64 {
+                let id = c.schedule_in(delay(1 + i), |_: &mut Vec<u32>, _| {});
+                c.cancel(id);
+            }
+            assert!(
+                c.heap_dead <= c.heap.len().max(64),
+                "stale heap keys ({}) must not dominate the heap ({})",
+                c.heap_dead,
+                c.heap.len()
+            );
+            assert!(c.slots.len() <= 2, "cancel must free slab slots for reuse");
+            let mut w = Vec::new();
+            drain(&mut w, &mut c);
+            assert!(w.is_empty());
         }
-        assert!(
-            c.heap_dead <= c.heap.len().max(64),
-            "stale heap keys ({}) must not dominate the heap ({})",
-            c.heap_dead,
-            c.heap.len()
-        );
-        assert!(c.slots.len() <= 2, "cancel must free slab slots for reuse");
-        let mut w = Vec::new();
-        drain(&mut w, &mut c);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn wheel_tombstones_are_swept_by_the_pop_scan() {
-        let mut c = ctx();
-        let mut w = Vec::new();
-        for i in 0..100u64 {
-            let id = c.schedule_in(Dur::from_micros(1 + i), |_: &mut Vec<u32>, _| {});
-            c.cancel(id);
-        }
-        c.schedule_in(Dur::from_micros(500), |w: &mut Vec<u32>, _| w.push(1));
-        assert_eq!(c.wheel_len, 101, "stale keys linger until swept");
-        drain(&mut w, &mut c);
-        assert_eq!(w, vec![1]);
-        assert_eq!(c.wheel_len, 0, "pop scan sweeps stale keys");
     }
 
     #[test]
@@ -1479,41 +1152,6 @@ mod tests {
     }
 
     #[test]
-    fn coarse_timers_land_in_the_second_wheel_not_the_heap() {
-        // The satellite claim: RTO-scale timers (hundreds of ms) and
-        // compute-farm sleeps (up to seconds) must no longer fall to the
-        // heap. Only the 20 s outlier may.
-        let mut c = ctx();
-        let mut w = Vec::new();
-        for (i, ms) in [200u64, 250, 1_000, 5_000].into_iter().enumerate() {
-            c.schedule_in(Dur::from_millis(ms), move |w: &mut Vec<u32>, _| w.push(i as u32));
-        }
-        assert_eq!(c.heap_falls(), 0, "coarse timers must stay on a wheel");
-        assert_eq!(c.wheel2_len, 4);
-        assert_eq!(c.wheel_hits(), 4);
-        c.schedule_in(Dur::from_secs(20), |w: &mut Vec<u32>, _| w.push(9));
-        assert_eq!(c.heap_falls(), 1, "past the L2 horizon the heap still catches");
-        drain(&mut w, &mut c);
-        assert_eq!(w, vec![0, 1, 2, 3, 9]);
-        assert_eq!(c.wheel2_len, 0);
-    }
-
-    #[test]
-    fn second_wheel_cancel_leaves_tombstones_swept_by_the_pop_scan() {
-        let mut c = ctx();
-        let mut w = Vec::new();
-        for i in 0..64u64 {
-            let id = c.schedule_in(Dur::from_millis(100 + i * 10), |_: &mut Vec<u32>, _| {});
-            c.cancel(id);
-        }
-        c.schedule_in(Dur::from_secs(2), |w: &mut Vec<u32>, _| w.push(1));
-        assert_eq!(c.wheel2_len, 65, "stale L2 keys linger until swept");
-        drain(&mut w, &mut c);
-        assert_eq!(w, vec![1]);
-        assert_eq!(c.wheel2_len, 0, "pop scan sweeps stale L2 keys");
-    }
-
-    #[test]
     fn next_event_key_sees_second_wheel_entries() {
         let mut c = ctx();
         let mut w = Vec::new();
@@ -1524,7 +1162,7 @@ mod tests {
             c.next_event_time(),
             Some(SimTime::from_nanos(100) + Dur::from_millis(200))
         );
-        // An L1-resident timer in front of it must win the probe.
+        // A µs timer in front of it must win the probe.
         c.schedule_in(Dur::from_micros(5), |_: &mut Vec<u32>, _| {});
         assert_eq!(
             c.next_event_time(),
@@ -1555,6 +1193,30 @@ mod tests {
         // An empty queue still advances the clock.
         assert_eq!(c.run_due(&mut w, SimTime::from_nanos(3_000_000)), 0);
         assert_eq!(c.now(), SimTime::from_nanos(3_000_000));
+    }
+
+    #[test]
+    fn queued_ghosts_gate_the_fast_paths_and_the_pump() {
+        let mut c: Ctx<Vec<u32>> = Ctx::standalone(derive_rng(0, 0));
+        let mut w = Vec::new();
+        let id = c.schedule_in(Dur::from_micros(10), |w: &mut Vec<u32>, _| w.push(99));
+        assert!(c.cancel_counted(id));
+        // The ghost at 10 µs orders before both targets: neither inline
+        // advance may jump it.
+        assert!(!c.try_advance_to(SimTime::from_nanos(20_000), c.next_seq()));
+        assert!(!c.try_advance_sleep(Dur::from_micros(20)));
+        assert_eq!(c.now(), SimTime::ZERO);
+        // A pump bounded before the ghost leaves it queued and uncounted.
+        assert_eq!(c.run_due(&mut w, SimTime::from_nanos(5_000)), 0);
+        assert_eq!((c.events_fired(), c.ghost_fires()), (0, 0));
+        assert_eq!(c.next_event_key(), Some((SimTime::from_nanos(10_000), 0)));
+        // The next pump drains it as one fired event and nothing runs.
+        c.run_due(&mut w, SimTime::from_nanos(15_000));
+        assert_eq!((c.events_fired(), c.ghost_fires()), (1, 1));
+        assert!(w.is_empty());
+        // With the ghost gone the sleep fast path is legal again.
+        assert!(c.try_advance_sleep(Dur::from_micros(20)));
+        assert_eq!(c.now(), SimTime::from_nanos(35_000));
     }
 
     #[test]

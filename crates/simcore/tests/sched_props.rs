@@ -2,7 +2,7 @@
 //! and runtime scheduling invariants.
 
 use proptest::prelude::*;
-use simcore::{Dur, ProcEnv, Runtime, SimTime};
+use simcore::{Ctx, Dur, ProcEnv, Runtime, SimTime};
 
 proptest! {
     /// Events always fire in (time, insertion) order, regardless of the
@@ -103,52 +103,54 @@ proptest! {
     }
 }
 
-/// One randomized timer in the wheel-vs-heap equivalence test: a delay that
-/// may land in a wheel bucket (with forced ties), near the horizon boundary,
-/// or far beyond it (heap), plus an optional cancellation — immediate or
-/// scheduled from a separate canceller event.
+/// How one randomized timer in the queue-vs-model test is cancelled, if at
+/// all: immediately or from a separate canceller event, with a plain
+/// `cancel` or a ghost-counted `cancel_counted`.
 #[derive(Debug, Clone, Copy)]
 enum Cancel {
     Keep,
     Immediate,
+    ImmediateCounted,
     /// Cancel from an event fired at this delay (no-op if the target
     /// already fired, exactly like the real API).
     At(u64),
+    CountedAt(u64),
+}
+
+/// A delay mix: same-instant ties, then ns, µs, ms and >10 s scales.
+fn delay() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (0u64..6).prop_map(|x| x * 1_000),
+        0u64..1_000,
+        1_000u64..1_000_000,
+        1_000_000u64..1_000_000_000,
+        10_000_000_000u64..30_000_000_000,
+    ]
 }
 
 fn timer_op() -> impl Strategy<Value = (u64, Cancel)> {
-    use simcore::sched::{WHEEL2_GRAIN_NS, WHEEL2_HORIZON_NS, WHEEL_GRAIN_NS, WHEEL_HORIZON_NS};
-    let delay = prop_oneof![
-        // Same-bucket and same-instant collisions inside the L1 wheel.
-        (0u64..48).prop_map(|x| x * (WHEEL_GRAIN_NS / 2)),
-        // Anywhere inside the L1 horizon.
-        0u64..WHEEL_HORIZON_NS,
-        // Straddling the L1 boundary and beyond it (second-level wheel).
-        (WHEEL_HORIZON_NS - 2 * WHEEL_GRAIN_NS)..(4 * WHEEL_HORIZON_NS),
-        // Straddling the L2 boundary and far beyond it (heap fallback).
-        (WHEEL2_HORIZON_NS - 2 * WHEEL2_GRAIN_NS)..(2 * WHEEL2_HORIZON_NS),
-    ];
     let cancel = prop_oneof![
         Just(Cancel::Keep),
         Just(Cancel::Keep),
         Just(Cancel::Keep),
         Just(Cancel::Immediate),
-        (0u64..2 * WHEEL_HORIZON_NS).prop_map(Cancel::At),
+        Just(Cancel::ImmediateCounted),
+        delay().prop_map(Cancel::At),
+        delay().prop_map(Cancel::CountedAt),
     ];
-    (delay, cancel)
+    (delay(), cancel)
 }
 
 proptest! {
-    /// The hierarchical wheel + heap queue fires exactly what a plain
-    /// `BinaryHeap<(time, seq)>` model says it should, in exactly that
-    /// order, under random scheduling and cancellation on both sides of the
-    /// wheel horizon — scheduled from a random, usually non-grain-aligned
-    /// `now` (regression: near-horizon delays from an unaligned `now` used
-    /// to wrap into the scan-start bucket and fire early). Cancelled timers
-    /// never fire; cancelling an already-fired timer is a no-op.
+    /// The event queue fires exactly what a plain `BinaryHeap<(time, seq)>`
+    /// model says it should, in exactly that order, under random scheduling
+    /// and cancellation from a random, unaligned `now`. Cancelled timers
+    /// never fire; cancelling an already-fired timer is a no-op; a
+    /// ghost-counted cancel still counts as one fired event, and only when
+    /// it retired a live timer.
     #[test]
-    fn wheel_fires_like_a_binary_heap(
-        base in 0u64..2 * simcore::sched::WHEEL_GRAIN_NS,
+    fn queue_fires_like_a_binary_heap_model(
+        base in 0u64..100_000,
         ops in prop::collection::vec(timer_op(), 1..60),
     ) {
         use std::cmp::Reverse;
@@ -157,16 +159,28 @@ proptest! {
         // Model: timer i gets seq i; canceller k (in op order) gets seq
         // n + k. A cancel is effective iff the canceller's (time, seq)
         // orders before its target's — with seq_c >= n > i, that reduces to
-        // a strictly earlier timestamp.
+        // a strictly earlier timestamp. Every canceller fires, and so does
+        // every ghost an effective counted cancel leaves behind.
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        let mut events = 0u64;
+        let mut ghosts = 0u64;
         for (i, &(d, c)) in ops.iter().enumerate() {
-            let dead = match c {
-                Cancel::Immediate => true,
-                Cancel::At(tc) => tc < d,
-                Cancel::Keep => false,
+            let (dead, counted) = match c {
+                Cancel::Keep => (false, false),
+                Cancel::Immediate => (true, false),
+                Cancel::ImmediateCounted => (true, true),
+                Cancel::At(tc) => (tc < d, false),
+                Cancel::CountedAt(tc) => (tc < d, true),
             };
+            if matches!(c, Cancel::At(_) | Cancel::CountedAt(_)) {
+                events += 1;
+            }
             if !dead {
                 heap.push(Reverse((d, i)));
+                events += 1;
+            } else if counted {
+                ghosts += 1;
+                events += 1;
             }
         }
         let mut expected = Vec::new();
@@ -174,43 +188,42 @@ proptest! {
             expected.push((base + at, i));
         }
 
-        struct W {
-            fired: Vec<(u64, usize)>,
-            ids: Vec<simcore::TimerId>,
-        }
-        let mut rt = Runtime::new(W { fired: Vec::new(), ids: Vec::new() }, 11);
-        let plan = ops.clone();
-        rt.spawn("sched", move |env: ProcEnv<W>| {
-            // Land on an arbitrary (usually non-grain-aligned) `now` first:
-            // the wheel wrap regression only reproduces when `now` does not
-            // sit on a bucket boundary.
-            env.sleep(Dur::from_nanos(base));
-            env.with(|w, ctx| {
-                // Targets first: seqs 0..n in op order.
-                for (i, &(d, _)) in plan.iter().enumerate() {
-                    let id = ctx.schedule_in(Dur::from_nanos(d), move |w: &mut W, ctx| {
-                        w.fired.push((ctx.now().as_nanos(), i));
+        let mut ctx: Ctx<Vec<(u64, usize)>> = Ctx::standalone(simcore::derive_rng(11, 0));
+        let mut fired = Vec::new();
+        // Land on an arbitrary, unaligned `now` first.
+        ctx.run_due(&mut fired, SimTime::from_nanos(base));
+        // Targets first: seqs 0..n in op order.
+        let ids: Vec<_> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, &(d, _))| {
+                ctx.schedule_in(Dur::from_nanos(d), move |w: &mut Vec<(u64, usize)>, ctx| {
+                    w.push((ctx.now().as_nanos(), i));
+                })
+            })
+            .collect();
+        // Then cancellers (seqs n..) and immediate cancels.
+        for (&(_, c), &id) in ops.iter().zip(&ids) {
+            match c {
+                Cancel::Keep => {}
+                Cancel::Immediate => ctx.cancel(id),
+                Cancel::ImmediateCounted => {
+                    prop_assert!(ctx.cancel_counted(id));
+                }
+                Cancel::At(tc) => {
+                    ctx.schedule_in(Dur::from_nanos(tc), move |_: &mut Vec<_>, ctx| ctx.cancel(id));
+                }
+                Cancel::CountedAt(tc) => {
+                    ctx.schedule_in(Dur::from_nanos(tc), move |_: &mut Vec<_>, ctx| {
+                        ctx.cancel_counted(id);
                     });
-                    w.ids.push(id);
                 }
-                // Then cancellers (seqs n..) and immediate cancels.
-                for (i, &(_, c)) in plan.iter().enumerate() {
-                    match c {
-                        Cancel::Keep => {}
-                        Cancel::Immediate => ctx.cancel(w.ids[i]),
-                        Cancel::At(tc) => {
-                            ctx.schedule_in(Dur::from_nanos(tc), move |w: &mut W, ctx| {
-                                ctx.cancel(w.ids[i]);
-                            });
-                        }
-                    }
-                }
-            });
-            // Outlive every timer and canceller.
-            env.sleep(Dur::from_nanos(3 * simcore::sched::WHEEL2_HORIZON_NS));
-        });
-        let out = rt.run();
-        prop_assert_eq!(out.world.fired, expected);
+            }
+        }
+        ctx.run_due(&mut fired, SimTime::MAX);
+        prop_assert_eq!(fired, expected);
+        prop_assert_eq!(ctx.events_fired(), events);
+        prop_assert_eq!(ctx.ghost_fires(), ghosts);
     }
 }
 

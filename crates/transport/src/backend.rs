@@ -16,7 +16,7 @@
 //!   the same unmodified engines.
 //!
 //! What is shared between the two backends: the protocol engines (CC, RTO,
-//! SACK, bundling, CMT), the timer wheel, the flight recorder. What is not:
+//! SACK, bundling, CMT), the event queue, the flight recorder. What is not:
 //! the loss/latency model (the real network supplies its own) and
 //! determinism (wall-clock arrival order is not replayable).
 //!

@@ -505,7 +505,8 @@ pub(crate) struct Assoc {
     pub t3_armed: bool,
     /// Live T3-rtx timer, if one is scheduled. Rearms go through
     /// `Ctx::reschedule_in` so the superseded timer is ghost-cancelled (one
-    /// wheel tombstone) instead of firing later as a checked no-op.
+    /// stale heap key plus one ghost key) instead of firing later as a
+    /// checked no-op.
     pub t3_timer: Option<simcore::TimerId>,
     pub in_fast_recovery: bool,
     pub fast_recovery_exit: u64,

@@ -273,7 +273,8 @@ pub(crate) struct TcpSock {
     pub rto_armed: bool,
     /// Live RTO timer, if one is scheduled. Rearms go through
     /// `Ctx::reschedule_in` so the superseded timer is ghost-cancelled (one
-    /// wheel tombstone) instead of firing later as a checked no-op.
+    /// stale heap key plus one ghost key) instead of firing later as a
+    /// checked no-op.
     pub rto_timer: Option<simcore::TimerId>,
     pub persist_gen: u64,
     pub persist_armed: bool,

@@ -87,9 +87,9 @@ pub struct FarmResult {
     pub bursts_total: u64,
     /// Packets fused inside those trains (self-metering).
     pub pkts_fused: u64,
-    /// Timers that took the O(1) wheel insert (self-metering).
+    /// Always 0: the event queue has no timer wheel (see `simcore::Ctx::wheel_hits`).
     pub wheel_hits: u64,
-    /// Timers beyond the wheel horizon (heap fallback; self-metering).
+    /// Events pushed onto the event heap, i.e. every schedule (see `simcore::Ctx::heap_falls`).
     pub heap_falls: u64,
     /// Peak length of the matching layer's unexpected-message queue across
     /// all ranks — must stay bounded for this latency-tolerant workload.

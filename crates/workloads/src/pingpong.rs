@@ -36,9 +36,9 @@ pub struct PingPongResult {
     pub bursts_total: u64,
     /// Packets fused inside those trains (self-metering).
     pub pkts_fused: u64,
-    /// Timers that took the O(1) wheel insert (self-metering).
+    /// Always 0: the event queue has no timer wheel (see `simcore::Ctx::wheel_hits`).
     pub wheel_hits: u64,
-    /// Timers beyond the wheel horizon (heap fallback; self-metering).
+    /// Events pushed onto the event heap, i.e. every schedule (see `simcore::Ctx::heap_falls`).
     pub heap_falls: u64,
     /// Aggregate SCTP association stats (per-path packet balance, rescue
     /// probes, spurious marks — the CMT scheduler's observables). Zero for

@@ -26,7 +26,7 @@
 //!
 //! The RTO timer is *lazy*: acks just slide a deadline forward; the single
 //! armed timer re-arms itself when it wakes early. A window of acks costs
-//! zero timer-wheel traffic.
+//! zero event-queue traffic.
 
 use std::sync::Arc;
 
@@ -167,7 +167,7 @@ struct Sender {
     ca_cnt: u32,
     dupacks: u32,
     rto: RtoEstimator,
-    /// Lazy RTO deadline; acks slide it forward without touching the wheel.
+    /// Lazy RTO deadline; acks slide it forward without touching the event queue.
     rto_deadline: SimTime,
     timer: Option<TimerId>,
     /// Outstanding RTT sample (Karn-clean), `None` when invalidated.
@@ -491,9 +491,9 @@ pub struct ScaleResult {
     pub epochs: u64,
     /// Messages that crossed a shard boundary (partition-dependent).
     pub cross_shard_pkts: u64,
-    /// Timers that took an O(1) wheel insert, summed over shards.
+    /// Always 0: the event queue has no timer wheel (see `simcore::Ctx::wheel_hits`).
     pub wheel_hits: u64,
-    /// Timers that fell to the heap, summed over shards.
+    /// Events pushed onto the event heaps, summed over shards.
     pub heap_falls: u64,
     /// Shards the run actually used.
     pub shards: u32,
