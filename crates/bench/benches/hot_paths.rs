@@ -9,8 +9,9 @@
 //!   the measured path.
 //!
 //! * `park_wake` — the runtime handoff primitives themselves: a full
-//!   driver↔process round trip, and a burst of uncontended CPU charges the
-//!   sleep fast path folds into inline clock advances (zero handoffs).
+//!   process → driver → process round trip (two coroutine switches each
+//!   way), and a burst of uncontended CPU charges the sleep fast path folds
+//!   into inline clock advances (zero handoffs).
 //!
 //! * `burst_path` — packet-train fusion: one `transmit_burst` call against
 //!   the equivalent per-packet `transmit` loop on the raw network model, and
@@ -102,9 +103,10 @@ fn matching_churn(c: &mut Criterion) {
 
 fn park_wake(c: &mut Criterion) {
     // Two processes ping-pong through park/wake 256 times: each exchange is
-    // one deposit + wake + block_on, i.e. one full token handoff round trip
-    // in each direction. The measured per-iteration cost divided by the
-    // reported handoff count is the round-trip price the overhaul targets.
+    // one deposit + wake + block_on, i.e. a park to the driver and a resume
+    // of the peer in each direction. Every resume counts as one handoff, so
+    // the measured per-iteration cost divided by the reported handoff count
+    // is the price of one park + resume.
     c.bench_function("park_wake/round_trip_x256", |b| {
         b.iter(|| {
             #[derive(Default)]

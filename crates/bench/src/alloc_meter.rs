@@ -9,9 +9,9 @@
 //! *allocator pressure*, and the pools this PR adds eliminate the malloc,
 //! not just the free.
 //!
-//! The counter is global rather than thread-local on purpose: farm ranks
-//! are real OS threads, so a per-thread counter would miss exactly the
-//! allocations the data plane makes. The flip side is that per-cell deltas
+//! The counter is global rather than thread-local on purpose: sharded
+//! runs spread a cell's data-plane allocations over several OS threads, so
+//! a per-thread counter would miss exactly those. The flip side is that per-cell deltas
 //! are only attributable when one cell runs at a time — the runner records
 //! them for any `BENCH_THREADS`, but the numbers are meaningful (and the
 //! regression test asserts) at `BENCH_THREADS=1`.

@@ -8,8 +8,8 @@
 //! how threads interleave; only wall-clock changes.
 //!
 //! Each cell records wall-clock, simulated seconds, the simulator's
-//! `events_fired` counter, and the runtime's handoff meters (driver↔process
-//! transfers performed, wakes coalesced away, µs of wall clock per event).
+//! `events_fired` counter, and the runtime's handoff meters (driver→process
+//! switches performed, wakes coalesced away, µs of wall clock per event).
 //! The per-figure roll-up is persisted as `results/BENCH_<fig>.json`
 //! (schema documented in EXPERIMENTS.md) so harness performance is
 //! comparable across PRs.
@@ -39,9 +39,9 @@ pub struct Measured {
     /// Figure-specific side channel (the farm figures report the peak
     /// unexpected-queue length here); 0 when unused.
     pub aux: u64,
-    /// Runtime driver↔process handoffs performed (wall-clock diagnostic;
-    /// excluded from `SIM_CHECK` comparison because the disciplines differ
-    /// here by design).
+    /// Switches from the runtime driver into a process, i.e. every resume
+    /// (wall-clock diagnostic; excluded from `SIM_CHECK` comparison because
+    /// the disciplines differ here by design).
     pub handoffs: u64,
     /// Wakes coalesced away by the runtime fast path (ditto).
     pub wakes_coalesced: u64,
@@ -211,7 +211,8 @@ pub struct CellMeter {
     pub sim_secs: f64,
     pub events_fired: u64,
     pub events_per_sec: f64,
-    /// Driver↔process handoffs the runtime performed for this cell.
+    /// Switches from the runtime driver into a process for this cell:
+    /// every resume, since all of them go through the driver.
     pub handoffs_total: u64,
     /// Wakes coalesced away (suppressed spurious wakes + inline-advanced
     /// sleeps); under the reference discipline each of these would have

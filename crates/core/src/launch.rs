@@ -208,7 +208,7 @@ pub struct MpiReport {
     pub sim_time: SimTime,
     /// Events fired (diagnostic).
     pub events: u64,
-    /// Driver↔process ownership transfers performed by the runtime
+    /// Switches from the runtime driver into a rank, i.e. every resume
     /// (diagnostic; wall-clock cost, no simulated-time meaning).
     pub handoffs: u64,
     /// Wakes coalesced away by the runtime fast path (diagnostic).

@@ -7,14 +7,15 @@
 //! * [`sched`] — the event queue and scheduler context ([`Ctx`]), with
 //!   deterministic tie-breaking and cancellable timers;
 //! * [`process`] — a virtual-process runtime ([`Runtime`], [`ProcEnv`]) that
-//!   runs simulated programs as blocking Rust code on real threads while
-//!   keeping the whole simulation single-threaded in effect (exactly one
-//!   runnable thread at any instant), hence fully deterministic;
+//!   runs simulated programs as blocking Rust code, each a stackful
+//!   coroutine on the calling thread, one at a time, hence fully
+//!   deterministic;
 //! * [`rng`] — seed-derived independent random streams.
 //!
 //! Everything above this crate (network, transports, MPI middleware,
 //! workloads) is built on these four pieces.
 
+mod coro;
 pub mod fxhash;
 pub mod process;
 pub mod rng;

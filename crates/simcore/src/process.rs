@@ -1,23 +1,27 @@
 //! Virtual-process runtime.
 //!
-//! Simulated programs (e.g. MPI ranks) run as ordinary blocking Rust code on
-//! their own OS threads, but **exactly one thread is runnable at a time**:
-//! either the driver (which fires timed events) or a single resumed process.
-//! Control passes driver → process on wakeup and process → driver on park.
-//! This makes whole simulations deterministic — same seed, same world, same
-//! result, bit for bit — while letting workloads be written as
-//! straight-line code instead of hand-rolled state machines.
+//! Simulated programs (e.g. MPI ranks) are ordinary blocking Rust code. Each
+//! runs as a stackful coroutine (the private `coro` module) on the thread
+//! that calls [`Runtime::run`], and **exactly one of them runs at a time**:
+//! either the driver loop (which fires timed events) or a single resumed
+//! process. Control passes driver → process on wakeup and process → driver
+//! on park, each a stack-pointer switch of a few instructions. This makes
+//! whole simulations deterministic — same seed, same world, same result,
+//! bit for bit — while letting workloads be written as straight-line code
+//! instead of hand-rolled state machines.
 //!
-//! Handoff protocol: each process carries a `ProcCtl` holding a one-byte
-//! *run token* (`AtomicU8`). Exactly one thread owns the token at any
-//! instant; passing it is a single atomic store plus one `Thread::unpark` of
-//! the unique peer — `notify_one` by construction, since each direction has
-//! exactly one possible waiter (the registered driver/process thread, which
-//! debug assertions enforce). The waiter spins briefly, then falls back to
-//! `std::thread::park()`; park/unpark's token semantics make lost wakeups
-//! impossible. This replaces the old `Mutex<CtlInner>` + `Condvar` protocol,
-//! whose two condvar round trips per block/wake cycle dominated figure wall
-//! clock (~5–6 µs/event, see EXPERIMENTS.md).
+//! Why not an OS thread per process, the earlier design: every park and
+//! resume then passed a run token between threads. On the benchmark's
+//! traced `farm` workload (2-vCPU Xeon VM) that cost about 140 voluntary
+//! context switches per 1000 events, 21 % of CPU time in the kernel and
+//! 0.6–7.5 µs per two-process park/wake round trip; coroutines measure 0,
+//! about 1 % and about 0.26 µs (EXPERIMENTS.md, "Ranks as coroutines").
+//!
+//! Why not `async fn` processes: the blocking API — [`ProcEnv::block_on`],
+//! [`ProcEnv::park`], and the MPI calls and `mpirun` bodies built on them —
+//! is called directly by code outside this workspace (the benchmark), so it
+//! must stay blocking. A stackful coroutine keeps it and still removes every
+//! thread switch.
 //!
 //! Wakeup discipline: a parked process is resumed only via
 //! [`crate::sched::Ctx::wake`]. Wakeups may be *spurious* from the waiter's
@@ -29,16 +33,15 @@
 //! advance; `set_reference_discipline` restores the original
 //! one-resume-per-wake accounting for `SIM_CHECK` shadow runs. Both
 //! disciplines produce bit-identical worlds, simulated times, and event
-//! counts — only the number of driver↔process handoffs differs.
+//! counts — only the number of driver→process resumes differs.
 
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::{JoinHandle, Thread};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::coro::{Coroutine, Yielder};
 use crate::rng::derive_rng;
 use crate::sched::Ctx;
 use crate::time::{Dur, SimTime};
@@ -66,176 +69,9 @@ pub fn reference_discipline() -> bool {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcId(pub usize);
 
-/// Run-token states. A plain `AtomicU8` (not an enum behind a mutex): every
-/// transition is a single store/swap by the token's current owner.
-const CREATED: u8 = 0; // thread spawned, waiting for its first resume
-const RUNNING: u8 = 1; // the one thread currently allowed to run
-const PARKED: u8 = 2; // blocked in `park`, waiting for RUNNING
-const DONE: u8 = 3; // user closure returned (or panicked)
-
-/// How long a waiter spins before falling back to `thread::park()`. On a
-/// single-CPU host spinning is pure waste — the peer cannot be scheduled
-/// until we block — so the limit is zero there.
-fn spin_limit() -> u32 {
-    static LIMIT: OnceLock<u32> = OnceLock::new();
-    *LIMIT.get_or_init(|| match std::thread::available_parallelism() {
-        Ok(n) if n.get() > 1 => 96,
-        _ => 0,
-    })
-}
-
-/// Driver side: block until some process returns the baton. The driver
-/// cannot watch any single process's `state` — direct handoffs pass the
-/// token between processes without involving it — so releases are signalled
-/// through this explicit flag, set only by `park`/`finish`. `swap` consumes
-/// the release; a stale unpark permit merely re-runs the check.
-fn wait_baton(baton: &AtomicBool) {
-    let mut spins = 0;
-    while !baton.swap(false, Ordering::AcqRel) {
-        if spins < spin_limit() {
-            spins += 1;
-            std::hint::spin_loop();
-        } else {
-            std::thread::park();
-        }
-    }
-}
-
-/// Per-process handoff control: the run token plus the two thread handles an
-/// ownership transfer can target. `notify_one` semantics are structural —
-/// `Thread::unpark` wakes exactly one specific thread, and per direction
-/// only one thread can ever be waiting (the driver waits only in
-/// `wait_baton`, the process thread only in `wait_token_granted`).
-struct ProcCtl {
-    name: String,
-    state: AtomicU8,
-    /// The process thread, registered before its first wait. `resume` may
-    /// run before registration; then the process has not parked yet and
-    /// will observe RUNNING without needing the unpark.
-    proc_thread: OnceLock<Thread>,
-    /// The driver thread, registered at the top of `Runtime::run`, strictly
-    /// before any process can park or finish.
-    driver_thread: OnceLock<Thread>,
-}
-
-impl ProcCtl {
-    fn new(name: String) -> Self {
-        ProcCtl {
-            name,
-            state: AtomicU8::new(CREATED),
-            proc_thread: OnceLock::new(),
-            driver_thread: OnceLock::new(),
-        }
-    }
-
-    /// Process side: give the token back to the driver and wait for it to
-    /// be granted again. One store + one unpark in each direction. `baton`
-    /// is the explicit returned-to-driver flag the driver waits on — it
-    /// cannot watch our `state`, because a direct handoff (see
-    /// [`ProcCtl::park_to`]) also leaves it PARKED while another process
-    /// runs.
-    fn park(&self, baton: &AtomicBool) {
-        let prev = self.state.swap(PARKED, Ordering::AcqRel);
-        debug_assert_eq!(prev, RUNNING, "park by a thread that does not own the token");
-        baton.store(true, Ordering::Release);
-        self.driver_thread
-            .get()
-            .expect("driver registers its handle before any process runs")
-            .unpark();
-        self.wait_token_granted();
-    }
-
-    /// Process side: hand the run token directly to `next`, bypassing the
-    /// driver entirely, then wait to be granted again. Two context switches
-    /// instead of the four a park → driver → resume round trip costs. The
-    /// caller must have checked that `next` is parked (or not yet started)
-    /// and must leave the driver's baton untouched — the driver stays
-    /// blocked, exactly as if the original process were still running.
-    fn park_to(&self, next: &ProcCtl) {
-        let prev = self.state.swap(PARKED, Ordering::AcqRel);
-        debug_assert_eq!(prev, RUNNING, "handoff by a thread that does not own the token");
-        let nprev = next.state.swap(RUNNING, Ordering::AcqRel);
-        debug_assert!(
-            matches!(nprev, PARKED | CREATED),
-            "direct handoff to a process that is not waiting for the token"
-        );
-        if let Some(t) = next.proc_thread.get() {
-            t.unpark();
-        }
-        self.wait_token_granted();
-    }
-
-    /// Process side, first entry: register our handle, then wait for the
-    /// initial grant.
-    fn wait_first_resume(&self) {
-        let _ = self.proc_thread.set(std::thread::current());
-        self.wait_token_granted();
-    }
-
-    fn wait_token_granted(&self) {
-        // Single-waiter invariant: the only thread that ever waits for a
-        // grant is the registered process thread itself.
-        debug_assert!(
-            self.proc_thread.get().is_some_and(|t| t.id() == std::thread::current().id()),
-            "single-waiter invariant: only the process thread waits for the token"
-        );
-        let mut spins = 0;
-        while self.state.load(Ordering::Acquire) != RUNNING {
-            if spins < spin_limit() {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                std::thread::park();
-            }
-        }
-    }
-
-    /// Driver side: hand the token to this process and block until the baton
-    /// comes back to the driver — possibly after a chain of direct
-    /// process→process handoffs starting at this process. Returns whether
-    /// control was actually transferred (i.e. the process was not already
-    /// done).
-    fn resume_and_wait(&self, baton: &AtomicBool) -> bool {
-        match self.state.load(Ordering::Acquire) {
-            DONE => return false,
-            s @ (PARKED | CREATED) => {
-                let prev = self.state.swap(RUNNING, Ordering::AcqRel);
-                debug_assert_eq!(prev, s, "token moved while the driver held it");
-                if let Some(t) = self.proc_thread.get() {
-                    t.unpark();
-                }
-            }
-            _ => unreachable!("driver resumed a running process"),
-        }
-        wait_baton(baton);
-        true
-    }
-
-    /// Process side: final token release. Any panic flag must be published
-    /// (see `Shared::any_panicked`) before this, so the driver's acquire of
-    /// the baton orders it.
-    fn finish(&self, baton: &AtomicBool) {
-        let prev = self.state.swap(DONE, Ordering::AcqRel);
-        debug_assert_eq!(prev, RUNNING, "finish by a thread that does not own the token");
-        baton.store(true, Ordering::Release);
-        self.driver_thread
-            .get()
-            .expect("driver registers its handle before any process runs")
-            .unpark();
-    }
-
-    fn is_done(&self) -> bool {
-        self.state.load(Ordering::Acquire) == DONE
-    }
-
-    fn is_parked_or_created(&self) -> bool {
-        matches!(self.state.load(Ordering::Acquire), PARKED | CREATED)
-    }
-}
-
-/// World + scheduler behind one mutex. Only one thread touches it at a time
-/// by construction, so there is never contention — the mutex exists to
-/// satisfy the borrow checker across threads.
+/// World + scheduler behind one mutex. Only one process or the driver runs
+/// at a time, so there is never contention — the mutex keeps `ProcEnv`
+/// `Send` and `Sync` without asserting anything unsafe about `W`.
 struct Sim<W> {
     world: W,
     ctx: Ctx<W>,
@@ -243,22 +79,13 @@ struct Sim<W> {
 
 struct Shared<W> {
     sim: Mutex<Sim<W>>,
-    ctls: Vec<Arc<ProcCtl>>,
     /// Wakes of the current driver batch not yet resumed. The batch lives in
     /// the driver's private buffer, invisible to the scheduler's wake queue,
     /// so the sleep fast path must consult this count too: a process resumed
     /// mid-batch may not advance the clock while batch peers are still
-    /// entitled to run at the current time. Synchronized by the run-token
-    /// handoff (the driver only writes it while holding every token).
-    inflight_wakes: std::sync::atomic::AtomicUsize,
-    /// True while the run token is on its way back to the driver (set by
-    /// `park`/`finish`, consumed by `wait_baton`). Direct process→process
-    /// handoffs leave it false: the driver sleeps through the whole chain.
-    baton: AtomicBool,
-    /// Any process panicked. Set (before `finish` releases the baton) by the
-    /// panicking thread, so the driver's post-resume check is one flag load
-    /// instead of an O(ranks) scan over every `ProcCtl`.
-    any_panicked: AtomicBool,
+    /// entitled to run at the current time. Only the driver's thread, on
+    /// which every process runs, touches it, so `Relaxed` suffices.
+    inflight_wakes: AtomicUsize,
 }
 
 /// A handle a simulated process uses to touch the shared world, sleep, and
@@ -266,7 +93,8 @@ struct Shared<W> {
 pub struct ProcEnv<W> {
     id: ProcId,
     shared: Arc<Shared<W>>,
-    ctl: Arc<ProcCtl>,
+    /// Suspends this process's coroutine back to the driver.
+    yielder: Yielder,
     /// Completion flag reused by every timed [`sleep`](Self::sleep) this
     /// process performs (at most one is in flight at a time), so a sleep
     /// costs an `Arc` clone instead of an allocation.
@@ -298,69 +126,9 @@ impl<W: Send + 'static> ProcEnv<W> {
     /// Yield to the driver until someone calls `ctx.wake(self.id())`.
     ///
     /// May return spuriously (see module docs); re-check your condition.
+    /// Panics if called from anywhere but this process's own body.
     pub fn park(&self) {
-        if self.drive_until_woken() {
-            return;
-        }
-        self.ctl.park(&self.shared.baton);
-    }
-
-    /// Inline-driver fast path: instead of handing the run token back, the
-    /// parking process fires due events itself — it still owns the token, the
-    /// driver is blocked in `wait_baton`, and the lock serializes world
-    /// access — reproducing the driver's exact sequence: fire events in
-    /// (time, seq) order until a wake appears. A single-wake batch is then
-    /// resolved without the driver: a batch of exactly `[self]` is consumed
-    /// and we keep running (zero context switches for the hot blocking-recv
-    /// cycle); a sole wake for a parked peer becomes a direct token handoff
-    /// to it (two switches instead of four). Anything else — a mixed batch,
-    /// deadline, an empty queue, batch peers still in flight — defers to the
-    /// real driver by parking normally, with every event fired so far
-    /// counted exactly as if the driver had fired it. Disabled under the
-    /// reference discipline. Returns true when this process was woken.
-    fn drive_until_woken(&self) -> bool {
-        // Not-yet-resumed peers of the driver's current wake batch must run
-        // before any further event fires; only the driver can resume them.
-        if self.shared.inflight_wakes.load(Ordering::Acquire) != 0 {
-            return false;
-        }
-        let next = {
-            let mut g = self.shared.sim.lock();
-            if g.ctx.is_reference() {
-                return false;
-            }
-            loop {
-                if g.ctx.has_wakes() {
-                    match g.ctx.sole_wake() {
-                        Some(p) if p == self.id => {
-                            g.ctx.consume_sole_wake();
-                            return true;
-                        }
-                        Some(p) if self.shared.ctls[p.0].is_parked_or_created() => {
-                            g.ctx.consume_sole_wake();
-                            break p;
-                        }
-                        // Mixed batch (or a wake aimed at a finished
-                        // process): only the driver can run it correctly.
-                        _ => return false,
-                    }
-                }
-                match g.ctx.pop_event_due() {
-                    crate::sched::Popped::Fired(f) => {
-                        let Sim { world, ctx } = &mut *g;
-                        f.call(world, ctx);
-                    }
-                    // Deadline bookkeeping and deadlock detection belong to
-                    // the driver; park and let it look at the same state.
-                    _ => return false,
-                }
-            }
-            // Lock dropped here: the peer relocks the sim immediately on
-            // resume.
-        };
-        self.ctl.park_to(&self.shared.ctls[next.0]);
-        // The token came back: someone consumed a wake batch of `[self]`.
-        true
+        self.yielder.suspend();
     }
 
     /// Block until `poll` returns `Some`. `poll` runs under the world lock
@@ -382,7 +150,7 @@ impl<W: Send + 'static> ProcEnv<W> {
     /// Consecutive CPU charges batch: when the simulation is quiescent (no
     /// pending wakes, no event due at or before `now + d`, deadline not
     /// crossed) the clock advances inline and control never leaves this
-    /// thread. Otherwise a real timer is scheduled and the process parks;
+    /// process. Otherwise a real timer is scheduled and the process parks;
     /// while it is parked here, the scheduler suppresses foreign wakes —
     /// they are provably spurious, since this loop re-checks only a private
     /// `done` flag and parks again without touching the world.
@@ -390,7 +158,7 @@ impl<W: Send + 'static> ProcEnv<W> {
         if d.is_zero() {
             return;
         }
-        if self.shared.inflight_wakes.load(Ordering::Acquire) == 0
+        if self.shared.inflight_wakes.load(Ordering::Relaxed) == 0
             && self.with(|_, ctx| ctx.try_advance_sleep(d))
         {
             return;
@@ -429,9 +197,10 @@ pub struct RunOutcome<W> {
     /// Total events fired (diagnostic). Identical under both wakeup
     /// disciplines: inline-advanced sleeps count their skipped timer.
     pub events: u64,
-    /// Driver→process ownership transfers actually performed (diagnostic).
-    /// This is the count the runtime overhaul drives down; it differs
-    /// between disciplines by design.
+    /// Switches from the driver into a process (diagnostic): every resume
+    /// of an unfinished process, the only way control enters one. It differs
+    /// between disciplines by design: wake suppression and inline sleeps
+    /// avoid resumes the reference discipline performs.
     pub handoffs: u64,
     /// Wakes that never became a handoff: suppressed spurious wakes plus
     /// sleeps satisfied by the inline fast path (diagnostic).
@@ -508,60 +277,28 @@ impl<W: Send + 'static> Runtime<W> {
     pub fn run(mut self) -> RunOutcome<W> {
         let world = self.world.take().expect("run() called twice");
         let ctx = Ctx::new(derive_rng(self.seed, u64::MAX));
-        let ctls: Vec<Arc<ProcCtl>> = self
-            .mains
-            .iter()
-            .map(|(name, _)| Arc::new(ProcCtl::new(name.clone())))
-            .collect();
         let shared = Arc::new(Shared {
             sim: Mutex::new(Sim { world, ctx }),
-            ctls,
-            inflight_wakes: std::sync::atomic::AtomicUsize::new(0),
-            baton: AtomicBool::new(false),
-            any_panicked: AtomicBool::new(false),
+            inflight_wakes: AtomicUsize::new(0),
         });
 
-        // Spawn process threads; each waits for its first resume.
-        let mut joins: Vec<JoinHandle<()>> = Vec::with_capacity(self.mains.len());
-        for (i, (name, main)) in self.mains.drain(..).enumerate() {
-            let ctl = Arc::clone(&shared.ctls[i]);
-            let shared2 = Arc::clone(&shared);
-            let env = ProcEnv {
-                id: ProcId(i),
-                shared: Arc::clone(&shared),
-                ctl: Arc::clone(&ctl),
-                sleep_done: Arc::new(AtomicBool::new(false)),
-            };
-            let handle = std::thread::Builder::new()
-                .name(format!("sim-{name}"))
-                .spawn(move || {
-                    ctl.wait_first_resume();
-                    let result = catch_unwind(AssertUnwindSafe(move || main(env)));
-                    if result.is_err() {
-                        shared2.any_panicked.store(true, Ordering::Release);
-                    }
-                    ctl.finish(&shared2.baton);
-                    if let Err(payload) = result {
-                        // Preserve the panic message in test output; the
-                        // driver aborts the run when it notices.
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic".into());
-                        eprintln!("simulated process panicked: {msg}");
-                    }
-                })
-                .expect("failed to spawn process thread");
-            joins.push(handle);
-        }
+        // Every process gets a coroutine that starts at its first resume.
+        let mut procs: Vec<(String, Coroutine)> = self
+            .mains
+            .drain(..)
+            .enumerate()
+            .map(|(i, (name, main))| {
+                let shared = Arc::clone(&shared);
+                let body = move |yielder| {
+                    let sleep_done = Arc::new(AtomicBool::new(false));
+                    main(ProcEnv { id: ProcId(i), shared, yielder, sleep_done })
+                };
+                (name, Coroutine::new(Box::new(body)))
+            })
+            .collect();
 
-        // Register the driver's handle before any process can park or
-        // finish, then seed: every process gets an initial wakeup, in id
-        // order. The discipline is whatever this thread selected.
-        for ctl in &shared.ctls {
-            let _ = ctl.driver_thread.set(std::thread::current());
-        }
+        // Seed: every process gets an initial wakeup, in id order. The
+        // discipline is whatever this thread selected.
         {
             let mut g = shared.sim.lock();
             g.ctx.set_reference(reference_discipline());
@@ -570,15 +307,16 @@ impl<W: Send + 'static> Runtime<W> {
             for (at, f) in self.pre_events.drain(..) {
                 g.ctx.schedule_at(at, f);
             }
-            for i in 0..shared.ctls.len() {
+            for i in 0..procs.len() {
                 g.ctx.wake(ProcId(i));
             }
         }
 
+        let mut live = procs.len();
         let mut hit_deadline = false;
         let mut handoffs: u64 = 0;
         let mut wake_buf: Vec<ProcId> = Vec::new();
-        'driver: loop {
+        loop {
             // Drain wakeups first: same-timestamp readiness beats timers.
             // Batches repeat until no wake is pending; wakes issued during a
             // batch land in the next one (see `take_wakes_into`).
@@ -587,25 +325,35 @@ impl<W: Send + 'static> Runtime<W> {
                 if wake_buf.is_empty() {
                     break;
                 }
-                shared.inflight_wakes.store(wake_buf.len(), Ordering::Release);
+                shared.inflight_wakes.store(wake_buf.len(), Ordering::Relaxed);
                 for p in &wake_buf {
                     // The process we are about to resume no longer counts as
                     // in flight; only not-yet-resumed batch peers gate the
                     // sleep fast path.
-                    shared.inflight_wakes.fetch_sub(1, Ordering::Release);
-                    let ctl = &shared.ctls[p.0];
-                    if ctl.resume_and_wait(&shared.baton) {
-                        handoffs += 1;
+                    shared.inflight_wakes.fetch_sub(1, Ordering::Relaxed);
+                    let (name, co) = &mut procs[p.0];
+                    if co.is_finished() {
+                        continue;
                     }
-                    // The baton may have hopped through several processes
-                    // before returning; any of them could have panicked.
-                    if shared.any_panicked.load(Ordering::Acquire) {
-                        break 'driver;
+                    handoffs += 1;
+                    match co.resume() {
+                        None => {}
+                        Some(Ok(())) => live -= 1,
+                        // Peers stay suspended, and their stacks leak
+                        // with everything on them (see `Coroutine`'s Drop).
+                        Some(Err(payload)) => {
+                            let msg = payload
+                                .downcast_ref::<&str>()
+                                .map(|s| s.to_string())
+                                .or_else(|| payload.downcast_ref::<String>().cloned())
+                                .unwrap_or_else(|| "non-string panic".into());
+                            panic!("simulated process panicked: {name}: {msg}");
+                        }
                     }
                 }
             }
 
-            if shared.ctls.iter().all(|c| c.is_done()) {
+            if live == 0 {
                 break;
             }
 
@@ -645,44 +393,25 @@ impl<W: Send + 'static> Runtime<W> {
 
             // No wakes, no events, processes still alive: deadlock.
             if !shared.sim.lock().ctx.has_wakes() {
-                let stuck: Vec<&str> = shared
-                    .ctls
+                let stuck: Vec<&str> = procs
                     .iter()
-                    .filter(|c| c.is_parked_or_created())
-                    .map(|c| c.name.as_str())
+                    .filter(|(_, co)| !co.is_finished())
+                    .map(|(name, _)| name.as_str())
                     .collect();
                 panic!("simulation deadlock: no pending events, processes still blocked: {stuck:?}");
             }
         }
 
-        let panicked = shared.any_panicked.load(Ordering::Acquire);
-
-        // On deadline or panic, stranded threads are parked forever; we must
-        // not join them. In the normal path all are done and join cleanly.
-        if !hit_deadline && !panicked {
-            for j in joins {
-                let _ = j.join();
-            }
-        } else {
-            std::mem::forget(joins);
-        }
-
-        if panicked {
-            panic!("a simulated process panicked; see stderr for details");
-        }
-
+        // Finished coroutines free their stacks; processes stranded by the
+        // deadline keep theirs, and with them their `Arc` of the world.
+        drop(procs);
         let shared = match Arc::try_unwrap(shared) {
             Ok(s) => s,
             Err(arc) => {
-                // Threads stranded by a deadline still hold clones; steal the
-                // world by swapping. Safe: they are parked and will never run.
-                let g = arc.sim.lock();
-                let events = g.ctx.events_fired();
-                let sim_time = g.ctx.now();
-                // This path only happens on deadline; require W: Default?
-                // Avoid that bound: panic with a clear message instead.
-                drop(g);
-                let _ = arc;
+                let (sim_time, events) = {
+                    let g = arc.sim.lock();
+                    (g.ctx.now(), g.ctx.events_fired())
+                };
                 panic!(
                     "deadline hit at {sim_time} after {events} events; \
                      world cannot be recovered from a deadline-aborted run"
@@ -712,6 +441,14 @@ mod tests {
     #[derive(Default)]
     struct W {
         log: Vec<String>,
+    }
+
+    /// `ProcEnv` stays `Send`, `Sync` and unwind-safe although it holds a
+    /// raw coroutine handle: callers may rely on all of them.
+    #[test]
+    fn proc_env_keeps_its_auto_traits() {
+        fn assert_traits<T: Send + Sync + Unpin + std::panic::UnwindSafe + std::panic::RefUnwindSafe>() {}
+        assert_traits::<ProcEnv<W>>();
     }
 
     #[test]
@@ -819,13 +556,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "simulated process panicked")]
     fn process_panic_propagates() {
+        fn run_panic_message(rt: Runtime<W>) -> String {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || rt.run()))
+                .err()
+                .expect("the run must panic");
+            payload.downcast_ref::<String>().cloned().unwrap_or_default()
+        }
+
+        // The only process panics.
         let mut rt = Runtime::new(W::default(), 1);
         rt.spawn("boom", |_env: ProcEnv<W>| {
             panic!("intentional test panic");
         });
-        rt.run();
+        let msg = run_panic_message(rt);
+        assert!(msg.contains("simulated process panicked"), "{msg}");
+        assert!(msg.contains("boom: intentional test panic"), "{msg}");
+
+        // A process panics while its peers are parked.
+        let mut rt = Runtime::new(W::default(), 1);
+        for p in 0..3 {
+            rt.spawn(format!("parked{p}"), |env: ProcEnv<W>| env.park());
+        }
+        rt.spawn("late", |env: ProcEnv<W>| {
+            env.sleep(Dur::from_millis(1));
+            panic!("intentional peer panic");
+        });
+        let msg = run_panic_message(rt);
+        assert!(msg.contains("simulated process panicked"), "{msg}");
+        assert!(msg.contains("late: intentional peer panic"), "{msg}");
     }
 
     #[test]

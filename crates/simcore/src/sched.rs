@@ -267,7 +267,7 @@ impl<W> Ctx<W> {
     /// Build a standalone context for an external driver — the real-socket
     /// reactor, which owns its own loop instead of a [`crate::Runtime`].
     /// The caller advances virtual time explicitly with [`Ctx::run_due`];
-    /// nothing here spawns processes or parks threads.
+    /// nothing here runs or parks simulated processes.
     pub fn standalone(rng: SmallRng) -> Self {
         Ctx::new(rng)
     }
@@ -712,28 +712,6 @@ impl<W> Ctx<W> {
 
     pub(crate) fn has_wakes(&self) -> bool {
         !self.wake_fifo.is_empty()
-    }
-
-    /// If the pending wake batch consists of exactly one process, return it
-    /// without consuming — the inline-driver fast path in
-    /// [`crate::ProcEnv::park`] uses this to decide between continuing
-    /// itself, a direct process→process handoff, and deferring to the real
-    /// driver.
-    pub(crate) fn sole_wake(&self) -> Option<ProcId> {
-        if self.wake_fifo.len() == 1 {
-            Some(self.wake_fifo[0])
-        } else {
-            None
-        }
-    }
-
-    /// Consume the single-wake batch [`Ctx::sole_wake`] reported. Equivalent
-    /// to the driver draining the batch: the fifo and the pending set are
-    /// cleared wholesale, so wakes issued afterwards land in a fresh batch.
-    pub(crate) fn consume_sole_wake(&mut self) {
-        debug_assert_eq!(self.wake_fifo.len(), 1);
-        self.wake_fifo.clear();
-        self.wake_pending.clear();
     }
 
     /// Earliest live heap key, popping stale tops.

@@ -1,6 +1,6 @@
 //! Sharded parallel DES with conservative lookahead.
 //!
-//! The per-event machinery (event heap, event slab, token-baton runtime)
+//! The per-event machinery (event heap, event slab, coroutine runtime)
 //! gets the cost of *one* event down to ~1 µs; this module multiplies it.
 //! Nodes are partitioned round-robin across `shards` worker threads
 //! (`shard_of(node) = node % shards`), each shard running its own [`Ctx`] —

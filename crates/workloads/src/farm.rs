@@ -79,7 +79,8 @@ pub struct FarmResult {
     /// Simulator events fired during the run (self-metering, see
     /// `bench-harness`).
     pub events: u64,
-    /// Runtime driver↔process handoffs performed (self-metering).
+    /// Switches from the runtime driver into a rank: every resume, since
+    /// all of them go through the driver (self-metering).
     pub handoffs: u64,
     /// Wakes coalesced away by the runtime fast path (self-metering).
     pub wakes_coalesced: u64,
