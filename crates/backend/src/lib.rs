@@ -37,7 +37,9 @@ pub struct LiveNode {
     /// Standalone scheduler context: event queue + RNG, no processes.
     pub ctx: Wx,
     t0: Instant,
-    /// Total events fired across every poll (timers and deliveries).
+    /// Scheduled events (engine timers) fired across every poll. Frames
+    /// the ingress pump dispatches are not scheduled events; they count in
+    /// `ingress_delivered`.
     pub events_fired: u64,
     /// Total ingress packets dispatched into the engines.
     pub ingress_delivered: u64,

@@ -10,8 +10,8 @@
 //! (schema in EXPERIMENTS.md). Aggregation happens in cell order, so the
 //! figures are bit-identical to a sequential run.
 //!
-//! The `probe_*` binaries (`probe_nas`, `probe_farm`, `probe_era`) are
-//! diagnostic tools: one workload, one transport, full transport counters —
+//! The `probe` binary (`probe <farm|nas|era|cmt|interleave>`) is a
+//! diagnostic tool: one workload, one transport, full transport counters —
 //! used with the env-gated traces documented in the `transport` crate.
 
 use mpi_core::{ContextMap, MpiCfg, RaceFix, TransportSel};
@@ -26,7 +26,7 @@ pub mod live;
 pub mod runner;
 
 use json::ToJson;
-use runner::{BenchReport, Cell, Measured};
+use runner::{BenchReport, Cell, Counter, Measured};
 
 /// How much of the paper-scale workload to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,8 +66,24 @@ pub fn mean_over_seeds(runs: u64, mut f: impl FnMut(u64) -> f64) -> f64 {
     total / runs as f64
 }
 
-fn mean(xs: &[Measured]) -> f64 {
-    xs.iter().map(|m| m.value).sum::<f64>() / xs.len().max(1) as f64
+/// Mean of `f` over a run of cell results (seeds of one configuration).
+fn mean<R>(xs: &[R], f: impl Fn(&R) -> f64) -> f64 {
+    xs.iter().map(f).sum::<f64>() / xs.len().max(1) as f64
+}
+
+/// The runtime and event-queue counters of an `mpirun`-based workload
+/// result (ping-pong, NAS, farm), as [`Measured::with`] input.
+macro_rules! mpi_counters {
+    ($r:expr) => {
+        [
+            (Counter::Handoffs, $r.handoffs),
+            (Counter::WakesCoalesced, $r.wakes_coalesced),
+            (Counter::Bursts, $r.bursts_total),
+            (Counter::PktsFused, $r.pkts_fused),
+            (Counter::WheelHits, $r.wheel_hits),
+            (Counter::HeapFalls, $r.heap_falls),
+        ]
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -96,25 +112,33 @@ pub fn fig8_sizes(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// `Measured` path meters for one ping-pong/stream result: path count from
-/// the config (0 when the run wasn't SCTP — TCP has no path notion).
-fn path_meters(cfg: &MpiCfg, r: &pingpong::PingPongResult) -> (u64, [u64; 4], u64, u64) {
+/// The [`Measured`] of one ping-pong/stream result, with its multipath
+/// counters: path count from the config (0 when the run wasn't SCTP — TCP
+/// has no path notion).
+fn pingpong_measured(cfg: &MpiCfg, r: &pingpong::PingPongResult) -> Measured {
     let paths = if matches!(cfg.transport, TransportSel::Sctp { .. }) {
         cfg.sctp.num_paths as u64
     } else {
         0
     };
-    (paths, r.sctp.per_path_pkts, r.sctp.spurious_frtx, r.sctp.rescue_rtx)
+    Measured::new(r.throughput, r.secs, r.events)
+        .with(mpi_counters!(r))
+        .with(Counter::PER_PATH.into_iter().zip(r.sctp.per_path_pkts))
+        .with([
+            (Counter::Paths, paths),
+            (Counter::SpuriousFrtx, r.sctp.spurious_frtx),
+            (Counter::RescueRtx, r.sctp.rescue_rtx),
+        ])
 }
 
-fn pingpong_cell(label: String, cfg: MpiCfg, pp: PingPongCfg) -> Cell<'static> {
+fn pingpong_cell(
+    label: String,
+    cfg: MpiCfg,
+    pp: PingPongCfg,
+) -> Cell<'static, pingpong::PingPongResult> {
     Cell::new(label, move || {
         let r = pingpong::run(cfg.clone(), pp);
-        let (paths, per_path, spur, rescue) = path_meters(&cfg, &r);
-        Measured::new(r.throughput, r.secs, r.events)
-            .with_runtime_meters(r.handoffs, r.wakes_coalesced)
-            .with_burst_meters(r.bursts_total, r.pkts_fused, r.wheel_hits, r.heap_falls)
-            .with_path_meters(paths, per_path, spur, rescue)
+        (r, pingpong_measured(&cfg, &r))
     })
 }
 
@@ -130,20 +154,16 @@ pub fn fig8_metered(scale: Scale) -> (Vec<Fig8Row>, BenchReport) {
         cells.push(pingpong_cell(format!("size={size} rpi=tcp"), MpiCfg::tcp(2, 0.0), pp));
         cells.push(pingpong_cell(format!("size={size} rpi=sctp"), MpiCfg::sctp(2, 0.0), pp));
     }
-    let (vals, report) = runner::run_cells("fig8", scale, cells);
+    let (results, report) = runner::run_cells("fig8", scale, None, cells);
     let rows = sizes
         .iter()
-        .zip(vals.chunks_exact(2))
+        .zip(results.chunks_exact(2))
         .map(|(&size, pair)| {
-            let (tcp, sctp) = (pair[0].value, pair[1].value);
+            let (tcp, sctp) = (pair[0].throughput, pair[1].throughput);
             Fig8Row { size, tcp_tput: tcp, sctp_tput: sctp, normalized: sctp / tcp }
         })
         .collect();
     (rows, report)
-}
-
-pub fn fig8(scale: Scale) -> Vec<Fig8Row> {
-    fig8_metered(scale).0
 }
 
 /// The message size at which SCTP first matches TCP (paper: ≈ 22 KB).
@@ -197,14 +217,15 @@ pub fn table1_metered(scale: Scale) -> (Vec<Table1Row>, BenchReport) {
             }
         }
     }
-    let (vals, report) = runner::run_cells("table1", scale, cells);
+    let (results, report) = runner::run_cells("table1", scale, None, cells);
     let rows = keys
         .iter()
-        .zip(vals.chunks_exact(3 * runs as usize))
+        .zip(results.chunks_exact(3 * runs as usize))
         .map(|(&(size, loss), chunk)| {
             let (sctp, rest) = chunk.split_at(runs as usize);
             let (tcp, era) = rest.split_at(runs as usize);
-            let (sctp, tcp, tcp_era) = (mean(sctp), mean(tcp), mean(era));
+            let tput = |r: &pingpong::PingPongResult| r.throughput;
+            let (sctp, tcp, tcp_era) = (mean(sctp, tput), mean(tcp, tput), mean(era, tput));
             Table1Row {
                 size,
                 loss,
@@ -217,10 +238,6 @@ pub fn table1_metered(scale: Scale) -> (Vec<Table1Row>, BenchReport) {
         })
         .collect();
     (rows, report)
-}
-
-pub fn table1(scale: Scale) -> Vec<Table1Row> {
-    table1_metered(scale).0
 }
 
 /// The three transports the loss experiments compare, in output order.
@@ -253,18 +270,16 @@ pub fn fig9_metered(scale: Scale, class: Class) -> (Vec<Fig9Row>, BenchReport) {
         for (rpi, mk) in [("sctp", MpiCfg::sctp as fn(u16, f64) -> MpiCfg), ("tcp", MpiCfg::tcp)] {
             cells.push(Cell::new(format!("kernel={} rpi={rpi}", k.name()), move || {
                 let r = nas::run(mk(8, 0.0), k, class);
-                Measured::new(r.mops_per_sec, r.secs, r.events)
-                    .with_runtime_meters(r.handoffs, r.wakes_coalesced)
-                    .with_burst_meters(r.bursts_total, r.pkts_fused, r.wheel_hits, r.heap_falls)
+                (r, Measured::new(r.mops_per_sec, r.secs, r.events).with(mpi_counters!(r)))
             }));
         }
     }
-    let (vals, report) = runner::run_cells("fig9", scale, cells);
+    let (results, report) = runner::run_cells("fig9", scale, None, cells);
     let rows = Kernel::ALL
         .iter()
-        .zip(vals.chunks_exact(2))
+        .zip(results.chunks_exact(2))
         .map(|(&k, pair)| {
-            let (sctp, tcp) = (pair[0].value, pair[1].value);
+            let (sctp, tcp) = (pair[0].mops_per_sec, pair[1].mops_per_sec);
             Fig9Row {
                 kernel: k.name(),
                 class: class.name(),
@@ -275,10 +290,6 @@ pub fn fig9_metered(scale: Scale, class: Class) -> (Vec<Fig9Row>, BenchReport) {
         })
         .collect();
     (rows, report)
-}
-
-pub fn fig9(scale: Scale, class: Class) -> Vec<Fig9Row> {
-    fig9_metered(scale, class).0
 }
 
 // ---------------------------------------------------------------------------
@@ -324,15 +335,19 @@ pub fn farm_cfg(scale: Scale, task_bytes: usize, fanout: u32) -> FarmCfg {
     }
 }
 
-fn farm_cell(label: String, cfg: MpiCfg, farm: FarmCfg) -> Cell<'static> {
+fn farm_cell(label: String, cfg: MpiCfg, farm: FarmCfg) -> Cell<'static, farm::FarmResult> {
     Cell::new(label, move || {
         let r = farm::run(cfg.clone(), farm);
-        let mut m = Measured::new(r.secs, r.secs, r.events)
-            .with_runtime_meters(r.handoffs, r.wakes_coalesced)
-            .with_burst_meters(r.bursts_total, r.pkts_fused, r.wheel_hits, r.heap_falls);
-        m.aux = r.unexpected_peak as u64;
-        m
+        let m = Measured::new(r.secs, r.secs, r.events)
+            .with(mpi_counters!(r))
+            .with([(Counter::UnexpectedPeak, r.unexpected_peak as u64)]);
+        (r, m)
     })
+}
+
+/// Mean simulated seconds over a run of farm cells.
+fn mean_secs(xs: &[farm::FarmResult]) -> f64 {
+    mean(xs, |r| r.secs)
 }
 
 pub fn farm_figure_metered(scale: Scale, fanout: u32) -> (Vec<FarmRow>, BenchReport) {
@@ -359,15 +374,15 @@ pub fn farm_figure_metered(scale: Scale, fanout: u32) -> (Vec<FarmRow>, BenchRep
             }
         }
     }
-    let (vals, report) = runner::run_cells(fig, scale, cells);
+    let (results, report) = runner::run_cells(fig, scale, None, cells);
     let rows = keys
         .iter()
-        .zip(vals.chunks_exact(3 * runs as usize))
+        .zip(results.chunks_exact(3 * runs as usize))
         .map(|(&(task_bytes, loss), chunk)| {
             let (sctp, rest) = chunk.split_at(runs as usize);
             let (tcp, era) = rest.split_at(runs as usize);
-            let peak = chunk.iter().map(|m| m.aux).max().unwrap_or(0);
-            let (sctp, tcp, tcp_era) = (mean(sctp), mean(tcp), mean(era));
+            let peak = chunk.iter().map(|r| r.unexpected_peak as u64).max().unwrap_or(0);
+            let (sctp, tcp, tcp_era) = (mean_secs(sctp), mean_secs(tcp), mean_secs(era));
             FarmRow {
                 task_bytes,
                 fanout,
@@ -382,10 +397,6 @@ pub fn farm_figure_metered(scale: Scale, fanout: u32) -> (Vec<FarmRow>, BenchRep
         })
         .collect();
     (rows, report)
-}
-
-pub fn farm_figure(scale: Scale, fanout: u32) -> Vec<FarmRow> {
-    farm_figure_metered(scale, fanout).0
 }
 
 // ---------------------------------------------------------------------------
@@ -430,13 +441,13 @@ pub fn fig12_metered(scale: Scale) -> (Vec<Fig12Row>, BenchReport) {
             }
         }
     }
-    let (vals, report) = runner::run_cells("fig12", scale, cells);
+    let (results, report) = runner::run_cells("fig12", scale, None, cells);
     let rows = keys
         .iter()
-        .zip(vals.chunks_exact(2 * runs as usize))
+        .zip(results.chunks_exact(2 * runs as usize))
         .map(|(&(task_bytes, loss), chunk)| {
             let (ten, one) = chunk.split_at(runs as usize);
-            let (ten, one) = (mean(ten), mean(one));
+            let (ten, one) = (mean_secs(ten), mean_secs(one));
             Fig12Row {
                 task_bytes,
                 loss,
@@ -447,10 +458,6 @@ pub fn fig12_metered(scale: Scale) -> (Vec<Fig12Row>, BenchReport) {
         })
         .collect();
     (rows, report)
-}
-
-pub fn fig12(scale: Scale) -> Vec<Fig12Row> {
-    fig12_metered(scale).0
 }
 
 // ---------------------------------------------------------------------------
@@ -542,8 +549,13 @@ pub const STALENESS_SLACK: simcore::Dur = simcore::Dur::from_millis(1_500);
 /// reduces sender-side HOL blocked time vs non-interleaved multistreaming,
 /// and finite lifetimes bound delivered-frame staleness.
 pub fn interleave_metered(scale: Scale) -> (InterleaveResults, BenchReport) {
-    use std::sync::Mutex;
     use workloads::mixed::TracedMixedResult;
+
+    /// What one cell of the run returns: the mixed cells come first.
+    enum Run {
+        Mixed(TracedMixedResult),
+        Media(media::MediaResult),
+    }
 
     let tasks = match scale {
         Scale::Paper => 2_000,
@@ -578,13 +590,8 @@ pub fn interleave_metered(scale: Scale) -> (InterleaveResults, BenchReport) {
         }
     }
 
-    let slots: Vec<Mutex<Option<TracedMixedResult>>> =
-        specs.iter().map(|_| Mutex::new(None)).collect();
-    let media_slots: Vec<Mutex<Option<media::MediaResult>>> =
-        lifetimes_ms.iter().map(|_| Mutex::new(None)).collect();
-    let mut cells: Vec<Cell<'_>> = Vec::new();
-    for (i, &(name, sched, loss, s)) in specs.iter().enumerate() {
-        let slot = &slots[i];
+    let mut cells: Vec<Cell<'_, Run>> = Vec::new();
+    for &(name, sched, loss, s) in &specs {
         cells.push(Cell::new(format!("mixed config={name} loss={loss} seed={s}"), move || {
             let mut cfg = MpiCfg::sctp(8, loss).with_seed(SEED_BASE + s);
             if let Some(k) = sched {
@@ -592,42 +599,39 @@ pub fn interleave_metered(scale: Scale) -> (InterleaveResults, BenchReport) {
             }
             let r = mixed::run_traced(cfg, mixed_cfg);
             assert_eq!(r.result.tasks_done, mixed_cfg.num_tasks, "tasks lost in {name}");
-            let mut m = Measured::new(r.result.secs, r.result.secs, r.result.events)
-                .with_stream_meters(
-                    sched.unwrap_or(SchedKind::Fcfs).name(),
-                    r.result.msgs_abandoned,
-                    r.result.fwd_tsn_out,
-                    r.snd_hol_blocks,
-                    r.snd_hol_ns,
-                );
-            m.aux = r.snd_hol_blocks;
-            *slot.lock().unwrap() = Some(r);
-            m
+            let mut m = Measured::new(r.result.secs, r.result.secs, r.result.events).with([
+                (Counter::MsgsAbandoned, r.result.msgs_abandoned),
+                (Counter::FwdTsn, r.result.fwd_tsn_out),
+                (Counter::SndHolBlocks, r.snd_hol_blocks),
+                (Counter::SndHolNs, r.snd_hol_ns),
+            ]);
+            m.scheduler = sched.unwrap_or(SchedKind::Fcfs).name();
+            (Run::Mixed(r), m)
         }));
     }
-    for (j, &ms) in lifetimes_ms.iter().enumerate() {
-        let slot = &media_slots[j];
+    for &ms in &lifetimes_ms {
         cells.push(Cell::new(
             format!("media lifetime={ms}ms loss={deadline_loss}"),
             move || {
                 let lifetime = (ms > 0).then(|| simcore::Dur::from_millis(ms));
                 let r = media::run(MediaCfg::new(frames, lifetime, deadline_loss));
-                let mut m = Measured::new(r.frames_delivered as f64, r.secs, r.events)
-                    .with_stream_meters("fcfs", r.msgs_abandoned, r.fwd_tsn_out, 0, 0);
-                m.aux = r.msgs_abandoned;
-                *slot.lock().unwrap() = Some(r);
-                m
+                let m = Measured::new(r.frames_delivered as f64, r.secs, r.events).with([
+                    (Counter::MsgsAbandoned, r.msgs_abandoned),
+                    (Counter::FwdTsn, r.fwd_tsn_out),
+                ]);
+                (Run::Media(r), m)
             },
         ));
     }
 
-    let (_, report) = runner::run_cells("interleave", scale, cells);
+    let (results, report) = runner::run_cells("interleave", scale, None, cells);
+    let (mixed_results, media_results) = results.split_at(specs.len());
 
     // One row per (config × loss), averaged over the seeds that ran it.
     let n_seeds = seed_offsets.len() as f64;
     let mut mixed_rows: Vec<InterleaveRow> = Vec::new();
-    for (&(name, _, loss, _), slot) in specs.iter().zip(&slots) {
-        let r = slot.lock().unwrap().expect("cell not run");
+    for (&(name, _, loss, _), r) in specs.iter().zip(mixed_results) {
+        let Run::Mixed(r) = r else { unreachable!("mixed cells come first") };
         if let Some(row) =
             mixed_rows.iter_mut().find(|row| row.config == name && row.loss == loss)
         {
@@ -651,9 +655,9 @@ pub fn interleave_metered(scale: Scale) -> (InterleaveResults, BenchReport) {
     }
     let deadline_rows: Vec<DeadlineRow> = lifetimes_ms
         .iter()
-        .zip(&media_slots)
-        .map(|(&ms, slot)| {
-            let r = slot.lock().unwrap().expect("cell not run");
+        .zip(media_results)
+        .map(|(&ms, r)| {
+            let Run::Media(r) = r else { unreachable!("media cells come last") };
             DeadlineRow {
                 lifetime_ms: ms,
                 loss: deadline_loss,
@@ -811,14 +815,14 @@ pub fn farm_burst_figure_metered(scale: Scale, fanout: u32) -> (Vec<FarmBurstRow
     // Both rate variants ride in the report as a JSON array, in `rates`
     // order — each element replays through `FaultPlan::from_json`.
     let plans = rates.map(|r| burst_plan(r).to_json()).join(",");
-    let (vals, report) = runner::run_cells_with_plan(fig, scale, cells, Some(format!("[{plans}]")));
+    let (results, report) = runner::run_cells(fig, scale, Some(format!("[{plans}]")), cells);
     let rows = keys
         .iter()
-        .zip(vals.chunks_exact(3 * runs as usize))
+        .zip(results.chunks_exact(3 * runs as usize))
         .map(|(&(task_bytes, avg_loss), chunk)| {
             let (sctp, rest) = chunk.split_at(runs as usize);
             let (tcp, era) = rest.split_at(runs as usize);
-            let (sctp, tcp, tcp_era) = (mean(sctp), mean(tcp), mean(era));
+            let (sctp, tcp, tcp_era) = (mean_secs(sctp), mean_secs(tcp), mean_secs(era));
             FarmBurstRow {
                 task_bytes,
                 fanout,
@@ -881,9 +885,6 @@ pub fn flap_plan() -> netsim::FaultPlan {
 /// least once and beats the 1-path cell, which cannot finish before the
 /// flap ends.
 pub fn flap_timeline_metered(scale: Scale) -> (Vec<FlapRow>, BenchReport) {
-    use std::sync::Mutex;
-    use workloads::farm::FaultFarmResult;
-
     let base_hb_ms: u64 = 500;
     let base_pmr: u32 = 2;
     let farm = farm_cfg(scale, 30 * 1024, 10);
@@ -915,30 +916,22 @@ pub fn flap_timeline_metered(scale: Scale) -> (Vec<FlapRow>, BenchReport) {
         specs.push(("sctp-3path".into(), base_hb_ms, pmr, true, mk_sctp(3, base_hb_ms, pmr, true)));
     }
 
-    // The runner's Measured can't carry the failover metrics, so each cell
-    // also parks its full FaultFarmResult in a slot by index.
-    let slots: Vec<Mutex<Option<FaultFarmResult>>> = specs.iter().map(|_| Mutex::new(None)).collect();
-    let cells: Vec<Cell<'_>> = specs
+    let cells: Vec<Cell<'_, _>> = specs
         .iter()
-        .enumerate()
-        .map(|(i, (config, hb_ms, pmr, flap, m))| {
+        .map(|(config, hb_ms, pmr, flap, m)| {
             let (m, farm) = (m.clone(), farm);
-            let slot = &slots[i];
             Cell::new(format!("config={config} hb={hb_ms}ms pmr={pmr} flap={flap}"), move || {
                 let r = farm::run_with_plan(m.clone(), farm);
                 assert_eq!(r.tasks_done, farm.num_tasks, "tasks lost in the flap");
-                *slot.lock().unwrap() = Some(r);
-                Measured::new(r.secs, r.secs, r.events)
+                (r, Measured::new(r.secs, r.secs, r.events))
             })
         })
         .collect();
-    let (_, report) =
-        runner::run_cells_with_plan("flap", scale, cells, Some(flap_plan().to_json()));
+    let (results, report) = runner::run_cells("flap", scale, Some(flap_plan().to_json()), cells);
     let rows: Vec<FlapRow> = specs
         .iter()
-        .zip(&slots)
-        .map(|((config, hb_ms, pmr, flap, _), slot)| {
-            let r = slot.lock().unwrap().expect("cell not run");
+        .zip(&results)
+        .map(|((config, hb_ms, pmr, flap, _), r)| {
             let detect_ms = if r.first_failover_ns == 0 {
                 0.0
             } else {
@@ -1103,7 +1096,6 @@ pub struct CmtResults {
 /// table: ≥ [`CMT_AGG_MIN`]× aggregation at 0 % loss, no inversion against
 /// single-path at any loss rate, and SFR keeping spurious marks ~0.
 pub fn cmt_metered(scale: Scale) -> (CmtResults, BenchReport) {
-    use std::sync::Mutex;
     use workloads::pingpong::{PingPongResult, StreamCfg};
 
     // The stream cells need enough messages that one fast-recovery cycle
@@ -1131,34 +1123,18 @@ pub fn cmt_metered(scale: Scale) -> (CmtResults, BenchReport) {
         }
     }
 
-    // Cells in table order; each also parks its full result in a slot so
-    // the rows carry transport counters the runner's `Measured` can't.
-    let n_cells = specs.len() * runs + bufs_kb.len() + 2;
-    let slots: Vec<Mutex<Option<PingPongResult>>> =
-        (0..n_cells).map(|_| Mutex::new(None)).collect();
-    let mut cells: Vec<Cell<'_>> = Vec::new();
-    fn cell<'a>(
-        label: String,
-        cfg: MpiCfg,
-        workload: &'static str,
-        st: StreamCfg,
-        pp: PingPongCfg,
-        slot: &'a Mutex<Option<PingPongResult>>,
-    ) -> Cell<'a> {
+    // Cells in table order.
+    let mut cells: Vec<Cell<'_, PingPongResult>> = Vec::new();
+    let cell = move |label: String, cfg: MpiCfg, workload: &'static str| {
         Cell::new(label, move || {
             let r = if workload == "stream" {
                 pingpong::run_stream(cfg.clone(), st)
             } else {
                 pingpong::run(cfg.clone(), pp)
             };
-            *slot.lock().unwrap() = Some(r);
-            let (paths, per_path, spur, rescue) = path_meters(&cfg, &r);
-            Measured::new(r.throughput, r.secs, r.events)
-                .with_runtime_meters(r.handoffs, r.wakes_coalesced)
-                .with_burst_meters(r.bursts_total, r.pkts_fused, r.wheel_hits, r.heap_falls)
-                .with_path_meters(paths, per_path, spur, rescue)
+            (r, pingpong_measured(&cfg, &r))
         })
-    }
+    };
     for &(workload, paths, cmt, loss) in &specs {
         for s in 0..runs {
             let seed = SEED_BASE + s as u64;
@@ -1166,9 +1142,6 @@ pub fn cmt_metered(scale: Scale) -> (CmtResults, BenchReport) {
                 format!("{workload} paths={paths} cmt={cmt} loss={loss} seed={seed:#x}"),
                 cmt_cfg(paths, cmt, loss, seed),
                 workload,
-                st,
-                pp,
-                &slots[cells.len()],
             ));
         }
     }
@@ -1177,26 +1150,16 @@ pub fn cmt_metered(scale: Scale) -> (CmtResults, BenchReport) {
             format!("bufsweep stream paths=3 cmt=true loss=0 sndbuf={kb}K"),
             cmt_cfg(3, true, 0.0, SEED_BASE).with_sctp_bufs(kb * 1024, kb * 1024),
             "stream",
-            st,
-            pp,
-            &slots[cells.len()],
         ));
     }
     for cmt in [false, true] {
         let mut cfg = cmt_cfg(3, cmt, 0.0, SEED_BASE);
         cfg.fault_plan = cmt_fault_plan();
-        cells.push(cell(
-            format!("fault flap+ge stream paths=3 cmt={cmt}"),
-            cfg,
-            "stream",
-            st,
-            pp,
-            &slots[cells.len()],
-        ));
+        cells.push(cell(format!("fault flap+ge stream paths=3 cmt={cmt}"), cfg, "stream"));
     }
 
-    let (vals, report) =
-        runner::run_cells_with_plan("cmt", scale, cells, Some(cmt_fault_plan().to_json()));
+    let plan = Some(cmt_fault_plan().to_json());
+    let (results, report) = runner::run_cells("cmt", scale, plan, cells);
 
     // Grid rows: mean throughput over seeds, counters from the first seed
     // (each seed is independently replayable from its cell label).
@@ -1204,8 +1167,8 @@ pub fn cmt_metered(scale: Scale) -> (CmtResults, BenchReport) {
     let mut pingpong_rows: Vec<CmtRow> = Vec::new();
     for (i, &(workload, paths, cmt, loss)) in specs.iter().enumerate() {
         let base = i * runs;
-        let tput = mean(&vals[base..base + runs]);
-        let r = slots[base].lock().unwrap().expect("cell not run");
+        let tput = mean(&results[base..base + runs], |r| r.throughput);
+        let r = &results[base];
         let row = CmtRow {
             workload,
             paths,
@@ -1228,14 +1191,14 @@ pub fn cmt_metered(scale: Scale) -> (CmtResults, BenchReport) {
     let bufs: Vec<CmtBufRow> = bufs_kb
         .iter()
         .enumerate()
-        .map(|(j, &kb)| CmtBufRow { sndbuf_kb: kb, mb_per_s: vals[gbase + j].value / 1e6 })
+        .map(|(j, &kb)| CmtBufRow { sndbuf_kb: kb, mb_per_s: results[gbase + j].throughput / 1e6 })
         .collect();
     let fbase = gbase + bufs_kb.len();
     let fault: Vec<CmtFaultRow> = [false, true]
         .iter()
         .enumerate()
         .map(|(j, &cmt)| {
-            let r = slots[fbase + j].lock().unwrap().expect("cell not run");
+            let r = &results[fbase + j];
             CmtFaultRow {
                 cmt,
                 secs: r.secs,
@@ -1346,29 +1309,31 @@ impl_to_json!(TenantRow {
     timeouts,
 });
 
-/// Wrap one `run_scale` invocation as a harness cell, parking the full
-/// [`ScaleResult`] in `slot` (the row builders need counters the runner's
-/// `Measured` can't carry). `value` = aggregate goodput, `aux` = queue
-/// drops — both partition-invariant, so `SIM_CHECK=1` (which forces the
-/// reference run onto one shard) cross-checks the sharded engine against
-/// the sequential discipline bit for bit.
-fn scale_cell<'a>(
+/// Wrap one `run_scale` invocation as a harness cell. `value` = aggregate
+/// goodput and the queue drops are partition-invariant, so `SIM_CHECK=1`
+/// (which forces the reference run onto one shard) cross-checks the
+/// sharded engine against the sequential discipline bit for bit.
+fn scale_cell(
     label: String,
     cfg: ScaleCfg,
     shards: usize,
     payload_bytes: u64,
     expect_flows: u32,
-    slot: &'a std::sync::Mutex<Option<ScaleResult>>,
-) -> Cell<'a> {
+) -> Cell<'static, ScaleResult> {
     Cell::new(label, move || {
         let r = run_scale(cfg.clone(), shards);
         assert_eq!(r.completed, expect_flows, "every flow must complete");
-        let mut m = Measured::new(r.goodput_mbps(payload_bytes), r.end_ns as f64 / 1e9, r.events)
-            .with_burst_meters(0, 0, r.wheel_hits, r.heap_falls)
-            .with_shard_meters(r.shards as u64, r.epochs, r.cross_shard_pkts, r.lookahead_ns);
-        m.aux = r.drops_queue;
-        *slot.lock().unwrap() = Some(r);
-        m
+        let m = Measured::new(r.goodput_mbps(payload_bytes), r.end_ns as f64 / 1e9, r.events)
+            .with([
+                (Counter::WheelHits, r.wheel_hits),
+                (Counter::HeapFalls, r.heap_falls),
+                (Counter::Shards, r.shards as u64),
+                (Counter::Epochs, r.epochs),
+                (Counter::CrossShardPkts, r.cross_shard_pkts),
+                (Counter::LookaheadNs, r.lookahead_ns),
+                (Counter::DropsQueue, r.drops_queue),
+            ]);
+        (r, m)
     })
 }
 
@@ -1387,99 +1352,77 @@ fn completion_pct_ms(done_ns: &[u64], pct: f64) -> f64 {
 /// Worker count comes from the `SHARDS` env var (default sequential);
 /// results are bit-identical at any value.
 pub fn incast_metered(scale: Scale) -> (Vec<IncastRow>, BenchReport) {
-    use std::sync::Mutex;
     let shards = runner::shards() as usize;
     let (sweep, block): (Vec<u32>, u64) = match scale {
         Scale::Paper => (vec![64, 256, 1024], 256 * 1024),
         Scale::Quick => (vec![64, 256, 1024], 16 * 1024),
     };
-    let slots: Vec<Mutex<Option<ScaleResult>>> = sweep.iter().map(|_| Mutex::new(None)).collect();
-    let cells: Vec<Cell<'_>> = sweep
+    let cells = sweep
         .iter()
-        .zip(&slots)
-        .map(|(&n, slot)| {
+        .map(|&n| {
             scale_cell(
                 format!("senders={n} block={block} shards={shards}"),
                 ScaleCfg::incast(n, block, SEED_BASE),
                 shards,
                 n as u64 * block,
                 n,
-                slot,
             )
         })
         .collect();
-    let (_, report) = runner::run_cells("incast", scale, cells);
+    let (results, report) = runner::run_cells("incast", scale, None, cells);
     let rows = sweep
         .iter()
-        .zip(&slots)
-        .map(|(&n, slot)| {
-            let r = slot.lock().unwrap().take().expect("cell not run");
-            IncastRow {
-                senders: n,
-                block_kb: block / 1024,
-                goodput_mbps: r.goodput_mbps(n as u64 * block),
-                last_done_ms: r.last_done_ns as f64 / 1e6,
-                drops_queue: r.drops_queue,
-                timeouts: r.timeouts,
-                retrans: r.retrans,
-                fast_rtx: r.fast_rtx,
-            }
+        .zip(results)
+        .map(|(&n, r)| IncastRow {
+            senders: n,
+            block_kb: block / 1024,
+            goodput_mbps: r.goodput_mbps(n as u64 * block),
+            last_done_ms: r.last_done_ns as f64 / 1e6,
+            drops_queue: r.drops_queue,
+            timeouts: r.timeouts,
+            retrans: r.retrans,
+            fast_rtx: r.fast_rtx,
         })
         .collect();
     (rows, report)
 }
 
-pub fn incast(scale: Scale) -> Vec<IncastRow> {
-    incast_metered(scale).0
-}
-
 /// The many-tenant sweep: T staggered flows share S receivers round-robin.
 pub fn tenants_metered(scale: Scale) -> (Vec<TenantRow>, BenchReport) {
-    use std::sync::Mutex;
     let shards = runner::shards() as usize;
     let (sweep, servers, block): (Vec<u32>, u32, u64) = match scale {
         Scale::Paper => (vec![256, 1024], 32, 128 * 1024),
         Scale::Quick => (vec![64, 256], 8, 16 * 1024),
     };
     let stagger = simcore::Dur::from_micros(50);
-    let slots: Vec<Mutex<Option<ScaleResult>>> = sweep.iter().map(|_| Mutex::new(None)).collect();
-    let cells: Vec<Cell<'_>> = sweep
+    let cells = sweep
         .iter()
-        .zip(&slots)
-        .map(|(&t, slot)| {
+        .map(|&t| {
             scale_cell(
                 format!("tenants={t} servers={servers} block={block} shards={shards}"),
                 ScaleCfg::tenants(t, servers, block, stagger, SEED_BASE),
                 shards,
                 t as u64 * block,
                 t,
-                slot,
             )
         })
         .collect();
-    let (_, report) = runner::run_cells("tenants", scale, cells);
+    let (results, report) = runner::run_cells("tenants", scale, None, cells);
     let rows = sweep
         .iter()
-        .zip(&slots)
-        .map(|(&t, slot)| {
-            let r = slot.lock().unwrap().take().expect("cell not run");
-            TenantRow {
-                tenants: t,
-                servers,
-                block_kb: block / 1024,
-                completion_p50_ms: completion_pct_ms(&r.flow_done_ns, 50.0),
-                completion_p99_ms: completion_pct_ms(&r.flow_done_ns, 99.0),
-                goodput_mbps: r.goodput_mbps(t as u64 * block),
-                drops_queue: r.drops_queue,
-                timeouts: r.timeouts,
-            }
+        .zip(results)
+        .map(|(&t, r)| TenantRow {
+            tenants: t,
+            servers,
+            block_kb: block / 1024,
+            completion_p50_ms: completion_pct_ms(&r.flow_done_ns, 50.0),
+            completion_p99_ms: completion_pct_ms(&r.flow_done_ns, 99.0),
+            goodput_mbps: r.goodput_mbps(t as u64 * block),
+            drops_queue: r.drops_queue,
+            timeouts: r.timeouts,
         })
         .collect();
     (rows, report)
-}
-
-pub fn tenants(scale: Scale) -> Vec<TenantRow> {
-    tenants_metered(scale).0
 }
 
 // ---------------------------------------------------------------------------
@@ -1507,21 +1450,17 @@ pub fn ablate_race_metered(scale: Scale) -> (Vec<RaceRow>, BenchReport) {
             cells.push(farm_cell(format!("loss={loss} option={name}"), m, cfg));
         }
     }
-    let (vals, report) = runner::run_cells("ablate_race", scale, cells);
+    let (results, report) = runner::run_cells("ablate_race", scale, None, cells);
     let rows = losses
         .iter()
-        .zip(vals.chunks_exact(2))
+        .zip(results.chunks_exact(2))
         .map(|(&loss, pair)| RaceRow {
             loss,
-            option_a_secs: pair[0].value,
-            option_b_secs: pair[1].value,
+            option_a_secs: pair[0].secs,
+            option_b_secs: pair[1].secs,
         })
         .collect();
     (rows, report)
-}
-
-pub fn ablate_race(scale: Scale) -> Vec<RaceRow> {
-    ablate_race_metered(scale).0
 }
 
 // ---------------------------------------------------------------------------

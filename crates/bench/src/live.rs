@@ -26,7 +26,7 @@ use transport::sctp::{self, SctpCfg};
 use transport::tcp::{self, TcpCfg};
 use transport::World;
 
-use crate::runner::{BenchReport, CellMeter};
+use crate::runner::{BenchReport, CellMeter, Counter, Measured};
 use crate::{fig8_sizes, Fig8Row, Scale, SEED_BASE};
 
 /// Engine-side port both endpoints use (the OS-side ports are ephemeral).
@@ -43,7 +43,7 @@ pub struct LiveCell {
     pub throughput: f64,
     /// Mean round-trip time per iteration, seconds.
     pub rtt: f64,
-    /// Reactor events fired across both nodes (timers + deliveries).
+    /// Reactor work across both nodes: timers fired plus frames delivered.
     pub events: u64,
     /// Wall seconds the whole cell took (handshake + timed loop).
     pub wall_secs: f64,
@@ -113,8 +113,9 @@ impl LivePair {
         }
     }
 
+    /// Timers fired plus frames delivered, across both nodes.
     fn events(&self) -> u64 {
-        self.a.events_fired + self.b.events_fired
+        [&self.a, &self.b].iter().map(|n| n.events_fired + n.ingress_delivered).sum()
     }
 
     fn udp_stats(&mut self) -> UdpStats {
@@ -241,35 +242,9 @@ pub fn tcp_cell(size: usize, iters: u32, seed: u64, tracer: Option<&trace::Trace
 }
 
 fn meter(label: String, c: &LiveCell, paths: u64) -> CellMeter {
-    CellMeter {
-        label,
-        wall_secs: c.wall_secs,
-        sim_secs: c.sim_secs,
-        events_fired: c.events,
-        events_per_sec: c.events as f64 / c.wall_secs.max(1e-9),
-        handoffs_total: 0,
-        wakes_coalesced: 0,
-        us_per_event: c.wall_secs * 1e6 / c.events.max(1) as f64,
-        bursts_total: 0,
-        pkts_per_burst_avg: 0.0,
-        wheel_hits: 0,
-        heap_falls: 0,
-        shards: 1,
-        epochs_total: 0,
-        cross_shard_pkts: 0,
-        lookahead_ns: 0,
-        paths,
-        per_path_pkts: vec![c.udp.tx_frames, 0, 0, 0],
-        spurious_frtx_total: 0,
-        rescue_rtx_total: 0,
-        scheduler: "fcfs".to_string(),
-        msgs_abandoned: 0,
-        fwd_tsn_total: 0,
-        snd_hol_blocks: 0,
-        snd_hol_ns: 0,
-        allocs_total: 0,
-        allocs_per_event: 0.0,
-    }
+    let measured = Measured::new(c.throughput, c.sim_secs, c.events)
+        .with([(Counter::Paths, paths), (Counter::PerPath0, c.udp.tx_frames)]);
+    CellMeter { label, wall_secs: c.wall_secs, allocs_total: 0, measured }
 }
 
 /// The full fig8-style sweep over loopback: same sizes and iteration counts
@@ -285,7 +260,6 @@ pub fn live_fig8(scale: Scale) -> (Vec<Fig8Row>, BenchReport) {
     let tracer = trace::Tracer::from_env();
     let mut rows = Vec::new();
     let mut cells = Vec::new();
-    let mut events_total = 0u64;
     for (i, &size) in sizes.iter().enumerate() {
         let seed = SEED_BASE + 2 * i as u64;
         let t = tcp_cell(size, iters, seed, tracer.as_ref());
@@ -293,7 +267,6 @@ pub fn live_fig8(scale: Scale) -> (Vec<Fig8Row>, BenchReport) {
         for (label, c) in [("tcp", &t), ("sctp", &s)] {
             assert_eq!(c.udp.rx_bad_crc, 0, "loopback must not corrupt frames");
             assert_eq!(c.udp.rx_bad_frame, 0, "own frames must decode");
-            events_total += c.events;
             cells.push(meter(
                 format!("size={size} rpi={label} live"),
                 c,
@@ -310,30 +283,8 @@ pub fn live_fig8(scale: Scale) -> (Vec<Fig8Row>, BenchReport) {
     if let Some(t) = &tracer {
         flush_live_trace(t);
     }
-    (rows, report(scale, t0.elapsed().as_secs_f64(), events_total, cells))
-}
-
-/// The sweep's [`BenchReport`]. Its `fig` carries the scale tag like every
-/// other figure's, so a `--quick` run never overwrites the paper-scale
-/// `BENCH_pingpong_live.json`.
-fn report(
-    scale: Scale,
-    wall_secs_total: f64,
-    events_total: u64,
-    cells: Vec<CellMeter>,
-) -> BenchReport {
-    BenchReport {
-        fig: scale.tag("pingpong_live"),
-        scale: match scale {
-            Scale::Paper => "paper",
-            Scale::Quick => "quick",
-        },
-        threads: 1,
-        wall_secs_total,
-        events_total,
-        fault_plan: None,
-        cells,
-    }
+    let wall_secs_total = t0.elapsed().as_secs_f64();
+    (rows, BenchReport::new("pingpong_live", scale, 1, wall_secs_total, None, cells))
 }
 
 /// `TRACE=1` file sink for live runs, mirroring the sim launcher's:
@@ -359,10 +310,11 @@ mod tests {
 
     #[test]
     fn quick_report_is_tagged_quick() {
-        let quick = report(Scale::Quick, 0.0, 0, Vec::new());
+        let report = |scale| BenchReport::new("pingpong_live", scale, 1, 0.0, None, Vec::new());
+        let quick = report(Scale::Quick);
         assert!(quick.fig.ends_with("_quick"), "quick fig {:?}", quick.fig);
         assert_eq!(quick.scale, "quick");
-        let paper = report(Scale::Paper, 0.0, 0, Vec::new());
+        let paper = report(Scale::Paper);
         assert_eq!((paper.fig.as_str(), paper.scale), ("pingpong_live", "paper"));
     }
 }

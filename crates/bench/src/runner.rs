@@ -7,25 +7,133 @@
 //! aggregate computed from it) is identical to a sequential run no matter
 //! how threads interleave; only wall-clock changes.
 //!
-//! Each cell records wall-clock, simulated seconds, the simulator's
-//! `events_fired` counter, and the runtime's handoff meters (driver→process
-//! switches performed, wakes coalesced away, µs of wall clock per event).
-//! The per-figure roll-up is persisted as `results/BENCH_<fig>.json`
+//! A cell returns its own result (whatever its figure's rows are built
+//! from) together with a [`Measured`]: the cell's value, simulated
+//! seconds, events fired, and the per-cell counters of the [`COUNTERS`]
+//! table. The per-figure roll-up is persisted as `results/BENCH_<fig>.json`
 //! (schema documented in EXPERIMENTS.md) so harness performance is
 //! comparable across PRs.
 //!
 //! `SIM_CHECK=1` turns on shadow verification: every cell runs twice, first
 //! under the reference wakeup discipline (pre-coalescing accounting), then
-//! under the fast one, and the harness panics if any semantic output
-//! (value, simulated seconds, events, aux) differs by even a bit. Only the
-//! fast run is metered.
+//! under the fast one, and the harness panics if the value, simulated
+//! seconds, events, or any counter the table marks [`Check::Compared`]
+//! differs by even a bit. Only the fast run is metered.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::{Json, ToJson};
-use crate::{impl_to_json, Scale};
+use crate::Scale;
+
+/// Whether `SIM_CHECK` compares a counter between the reference and the
+/// fast discipline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Check {
+    /// A semantic output: the two runs must agree bit for bit.
+    Compared,
+    /// A wall-clock or partition diagnostic the disciplines (or `SHARDS`)
+    /// change by design.
+    Diagnostic,
+}
+
+/// One row of [`COUNTERS`].
+#[derive(Debug, Clone, Copy)]
+pub struct CounterSpec {
+    pub counter: Counter,
+    /// Key in `results/BENCH_<fig>.json`; rows sharing a key render as one
+    /// array. `None` for a counter that only feeds a derived field.
+    pub key: Option<&'static str>,
+    pub check: Check,
+    /// Value before the cell sets it.
+    pub default: u64,
+}
+
+/// Declares [`Counter`] and its [`COUNTERS`] table from one list of rows:
+/// `Name = "bench_key", Compared|Diagnostic [, default N];`.
+macro_rules! counters {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident $(= $key:literal)?, $check:ident $(, default $default:literal)?;
+    )+) => {
+        /// A per-cell counter, reported by a cell through [`Measured::with`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[$doc])* $name,)+
+        }
+
+        /// Every per-cell counter, in `Counter` order (which is also the
+        /// order of the BENCH JSON keys).
+        pub const COUNTERS: &[CounterSpec] = &[$(CounterSpec {
+            counter: Counter::$name,
+            key: counters!(@key $($key)?),
+            check: Check::$check,
+            default: 0 $(+ $default)?,
+        },)+];
+    };
+    (@key) => { None };
+    (@key $key:literal) => { Some($key) };
+}
+
+counters! {
+    /// Switches from the runtime driver into a process, i.e. every resume.
+    Handoffs = "handoffs_total", Diagnostic;
+    /// Wakes coalesced away by the runtime fast path; under the reference
+    /// discipline each would have been a handoff.
+    WakesCoalesced = "wakes_coalesced", Diagnostic;
+    /// Packet trains emitted through the burst path (zero under the
+    /// reference discipline by design).
+    Bursts = "bursts_total", Diagnostic;
+    /// Packets fused inside those trains (each still counts in `events`);
+    /// reported as `pkts_per_burst_avg`.
+    PktsFused, Diagnostic;
+    /// Always 0: the event queue has no timer wheel (see `simcore::Ctx::wheel_hits`).
+    WheelHits = "wheel_hits", Diagnostic;
+    /// Events pushed onto the event heap, i.e. every schedule (see `simcore::Ctx::heap_falls`).
+    HeapFalls = "heap_falls", Diagnostic;
+    /// Worker shards the cell's simulation ran on (1 = sequential).
+    Shards = "shards", Diagnostic, default 1;
+    /// Conservative epochs the sharded engine synchronized through.
+    Epochs = "epochs_total", Diagnostic;
+    /// Messages that crossed a shard boundary.
+    CrossShardPkts = "cross_shard_pkts", Diagnostic;
+    /// Conservative lookahead the run executed under, in ns (0 when the
+    /// cell did not use the sharded engine).
+    LookaheadNs = "lookahead_ns", Diagnostic;
+    /// Destination addresses configured per association (1 = singlehomed;
+    /// 0 when the cell's transport has no path notion, e.g. TCP).
+    Paths = "paths", Compared;
+    /// Packets sent per path index — the CMT stripe balance (all zeros for
+    /// TCP cells).
+    PerPath0 = "per_path_pkts", Compared;
+    PerPath1 = "per_path_pkts", Compared;
+    PerPath2 = "per_path_pkts", Compared;
+    PerPath3 = "per_path_pkts", Compared;
+    /// Fast retransmits a later SACK proved unnecessary.
+    SpuriousFrtx = "spurious_frtx_total", Compared;
+    /// Chunks re-queued by the CMT rescue probe (tail-loss recovery that
+    /// bypassed the RTO).
+    RescueRtx = "rescue_rtx_total", Compared;
+    /// PR-SCTP messages abandoned past their lifetime.
+    MsgsAbandoned = "msgs_abandoned", Compared;
+    /// FORWARD-TSN chunks sent across the run.
+    FwdTsn = "fwd_tsn_total", Compared;
+    /// Sender-side HOL blocks observed by the flight recorder (0 when the
+    /// cell was not traced).
+    SndHolBlocks = "snd_hol_blocks", Compared;
+    /// Total sender-side HOL blocked time, ns (ditto).
+    SndHolNs = "snd_hol_ns", Diagnostic;
+    /// Peak length of the matching layer's unexpected-message queue.
+    UnexpectedPeak = "unexpected_peak", Compared;
+    /// Tail drops at downlink queues (the incast collapse signal).
+    DropsQueue = "drops_queue", Compared;
+}
+
+impl Counter {
+    /// The per-path packet counters, by path index.
+    pub const PER_PATH: [Counter; 4] =
+        [Counter::PerPath0, Counter::PerPath1, Counter::PerPath2, Counter::PerPath3];
+}
 
 /// What one cell's simulation reports back to the harness.
 #[derive(Debug, Clone, Copy)]
@@ -36,59 +144,11 @@ pub struct Measured {
     pub sim_secs: f64,
     /// Simulator events fired during the run.
     pub events: u64,
-    /// Figure-specific side channel (the farm figures report the peak
-    /// unexpected-queue length here); 0 when unused.
-    pub aux: u64,
-    /// Switches from the runtime driver into a process, i.e. every resume
-    /// (wall-clock diagnostic; excluded from `SIM_CHECK` comparison because
-    /// the disciplines differ here by design).
-    pub handoffs: u64,
-    /// Wakes coalesced away by the runtime fast path (ditto).
-    pub wakes_coalesced: u64,
-    /// Packet trains emitted through the burst path (ditto; zero under the
-    /// reference discipline by design).
-    pub bursts_total: u64,
-    /// Packets fused inside those trains (each still counts in `events`).
-    pub pkts_fused: u64,
-    /// Always 0: the event queue has no timer wheel (see `simcore::Ctx::wheel_hits`).
-    pub wheel_hits: u64,
-    /// Events pushed onto the event heap, i.e. every schedule (see `simcore::Ctx::heap_falls`).
-    pub heap_falls: u64,
-    /// Worker shards the cell's simulation ran on (1 = sequential; ditto —
-    /// the partition must not change semantic outputs, so it is not
-    /// compared).
-    pub shards: u64,
-    /// Conservative epochs the sharded engine synchronized through (ditto).
-    pub epochs_total: u64,
-    /// Messages that crossed a shard boundary (partition-dependent; ditto).
-    pub cross_shard_pkts: u64,
-    /// Conservative lookahead the run executed under, in ns (0 when the
-    /// cell did not use the sharded engine).
-    pub lookahead_ns: u64,
-    /// Destination addresses configured per association (1 = singlehomed;
-    /// 0 when the cell's transport has no path notion, e.g. TCP).
-    pub paths: u64,
-    /// Packets sent per path index across the run — the CMT stripe balance
-    /// (all zeros for TCP cells).
-    pub per_path_pkts: [u64; 4],
-    /// Fast retransmits a later SACK proved unnecessary (the reordering
-    /// false-positive count CMT's SFR accounting drives to zero).
-    pub spurious_frtx: u64,
-    /// Chunks re-queued by the CMT rescue probe (tail-loss recovery that
-    /// bypassed the RTO).
-    pub rescue_rtx: u64,
     /// Sender-side stream scheduler the cell ran under ("fcfs" when the
     /// cell has no scheduler notion, e.g. TCP or non-interleaved SCTP).
     pub scheduler: &'static str,
-    /// PR-SCTP messages abandoned past their lifetime.
-    pub msgs_abandoned: u64,
-    /// FORWARD-TSN chunks sent across the run.
-    pub fwd_tsn_total: u64,
-    /// Sender-side HOL blocks observed by the flight recorder (0 when the
-    /// cell was not traced).
-    pub snd_hol_blocks: u64,
-    /// Total sender-side HOL blocked time, ns (ditto).
-    pub snd_hol_ns: u64,
+    /// Indexed by [`Counter`].
+    counters: [u64; COUNTERS.len()],
 }
 
 impl Measured {
@@ -97,108 +157,33 @@ impl Measured {
             value,
             sim_secs,
             events,
-            aux: 0,
-            handoffs: 0,
-            wakes_coalesced: 0,
-            bursts_total: 0,
-            pkts_fused: 0,
-            wheel_hits: 0,
-            heap_falls: 0,
-            shards: 1,
-            epochs_total: 0,
-            cross_shard_pkts: 0,
-            lookahead_ns: 0,
-            paths: 0,
-            per_path_pkts: [0; 4],
-            spurious_frtx: 0,
-            rescue_rtx: 0,
             scheduler: "fcfs",
-            msgs_abandoned: 0,
-            fwd_tsn_total: 0,
-            snd_hol_blocks: 0,
-            snd_hol_ns: 0,
+            counters: std::array::from_fn(|i| COUNTERS[i].default),
         }
     }
 
-    /// Attach the runtime's handoff meters.
-    pub fn with_runtime_meters(mut self, handoffs: u64, wakes_coalesced: u64) -> Measured {
-        self.handoffs = handoffs;
-        self.wakes_coalesced = wakes_coalesced;
+    /// Sets each listed counter.
+    pub fn with(mut self, counters: impl IntoIterator<Item = (Counter, u64)>) -> Measured {
+        for (c, n) in counters {
+            self.counters[c as usize] = n;
+        }
         self
     }
 
-    /// Attach the burst-path and event-queue meters.
-    pub fn with_burst_meters(
-        mut self,
-        bursts_total: u64,
-        pkts_fused: u64,
-        wheel_hits: u64,
-        heap_falls: u64,
-    ) -> Measured {
-        self.bursts_total = bursts_total;
-        self.pkts_fused = pkts_fused;
-        self.wheel_hits = wheel_hits;
-        self.heap_falls = heap_falls;
-        self
-    }
-
-    /// Attach the multipath (CMT) meters.
-    pub fn with_path_meters(
-        mut self,
-        paths: u64,
-        per_path_pkts: [u64; 4],
-        spurious_frtx: u64,
-        rescue_rtx: u64,
-    ) -> Measured {
-        self.paths = paths;
-        self.per_path_pkts = per_path_pkts;
-        self.spurious_frtx = spurious_frtx;
-        self.rescue_rtx = rescue_rtx;
-        self
-    }
-
-    /// Attach the stream-machinery meters (scheduler identity, PR-SCTP
-    /// abandonment, and sender-side HOL accounting from a forced trace).
-    pub fn with_stream_meters(
-        mut self,
-        scheduler: &'static str,
-        msgs_abandoned: u64,
-        fwd_tsn_total: u64,
-        snd_hol_blocks: u64,
-        snd_hol_ns: u64,
-    ) -> Measured {
-        self.scheduler = scheduler;
-        self.msgs_abandoned = msgs_abandoned;
-        self.fwd_tsn_total = fwd_tsn_total;
-        self.snd_hol_blocks = snd_hol_blocks;
-        self.snd_hol_ns = snd_hol_ns;
-        self
-    }
-
-    /// Attach the sharded-engine meters.
-    pub fn with_shard_meters(
-        mut self,
-        shards: u64,
-        epochs_total: u64,
-        cross_shard_pkts: u64,
-        lookahead_ns: u64,
-    ) -> Measured {
-        self.shards = shards;
-        self.epochs_total = epochs_total;
-        self.cross_shard_pkts = cross_shard_pkts;
-        self.lookahead_ns = lookahead_ns;
-        self
+    fn get(&self, c: Counter) -> u64 {
+        self.counters[c as usize]
     }
 }
 
-/// One unit of work: a label for the meter plus the simulation closure.
-pub struct Cell<'a> {
+/// One unit of work: a label for the meter plus the simulation closure,
+/// which returns the cell's own result `R` and its [`Measured`].
+pub struct Cell<'a, R> {
     pub label: String,
-    pub run: Box<dyn Fn() -> Measured + Send + Sync + 'a>,
+    run: Box<dyn Fn() -> (R, Measured) + Send + Sync + 'a>,
 }
 
-impl<'a> Cell<'a> {
-    pub fn new(label: String, run: impl Fn() -> Measured + Send + Sync + 'a) -> Cell<'a> {
+impl<'a, R> Cell<'a, R> {
+    pub fn new(label: String, run: impl Fn() -> (R, Measured) + Send + Sync + 'a) -> Cell<'a, R> {
         Cell { label, run: Box::new(run) }
     }
 }
@@ -207,92 +192,50 @@ impl<'a> Cell<'a> {
 #[derive(Debug, Clone)]
 pub struct CellMeter {
     pub label: String,
+    /// Wall-clock seconds of the metered run.
     pub wall_secs: f64,
-    pub sim_secs: f64,
-    pub events_fired: u64,
-    pub events_per_sec: f64,
-    /// Switches from the runtime driver into a process for this cell:
-    /// every resume, since all of them go through the driver.
-    pub handoffs_total: u64,
-    /// Wakes coalesced away (suppressed spurious wakes + inline-advanced
-    /// sleeps); under the reference discipline each of these would have
-    /// been a handoff.
-    pub wakes_coalesced: u64,
-    /// Wall-clock microseconds per simulator event — the runtime-overhead
-    /// trajectory the overhaul drives down.
-    pub us_per_event: f64,
-    /// Packet trains emitted through the burst path for this cell.
-    pub bursts_total: u64,
-    /// Mean packets per train (fused packets / trains; 0.0 when no trains).
-    pub pkts_per_burst_avg: f64,
-    /// Always 0: the event queue has no timer wheel (see `simcore::Ctx::wheel_hits`).
-    pub wheel_hits: u64,
-    /// Events pushed onto the event heap, i.e. every schedule (see `simcore::Ctx::heap_falls`).
-    pub heap_falls: u64,
-    /// Worker shards the cell's simulation ran on (1 = sequential).
-    pub shards: u64,
-    /// Conservative epochs the sharded engine synchronized through.
-    pub epochs_total: u64,
-    /// Messages that crossed a shard boundary.
-    pub cross_shard_pkts: u64,
-    /// Conservative lookahead the run executed under, in ns.
-    pub lookahead_ns: u64,
-    /// Destination addresses per association (0 = no path notion).
-    pub paths: u64,
-    /// Packets sent per path index — the CMT stripe balance.
-    pub per_path_pkts: Vec<u64>,
-    /// Fast retransmits a later SACK proved unnecessary.
-    pub spurious_frtx_total: u64,
-    /// Chunks re-queued by the CMT rescue probe.
-    pub rescue_rtx_total: u64,
-    /// Sender-side stream scheduler the cell ran under.
-    pub scheduler: String,
-    /// PR-SCTP messages abandoned past their lifetime.
-    pub msgs_abandoned: u64,
-    /// FORWARD-TSN chunks sent across the run.
-    pub fwd_tsn_total: u64,
-    /// Sender-side HOL blocks observed by the flight recorder.
-    pub snd_hol_blocks: u64,
-    /// Total sender-side HOL blocked time, ns.
-    pub snd_hol_ns: u64,
     /// Heap allocations during the metered run (`ALLOC_METER=1`; 0 when the
     /// counting allocator is off). Process-global, so attributable to this
     /// cell only at `BENCH_THREADS=1`.
     pub allocs_total: u64,
-    /// Allocations per simulator event (the memory-plane trajectory this
-    /// pass drives down; 0.0 when metering is off).
-    pub allocs_per_event: f64,
+    pub measured: Measured,
 }
 
-impl_to_json!(CellMeter {
-    label,
-    wall_secs,
-    sim_secs,
-    events_fired,
-    events_per_sec,
-    handoffs_total,
-    wakes_coalesced,
-    us_per_event,
-    bursts_total,
-    pkts_per_burst_avg,
-    wheel_hits,
-    heap_falls,
-    shards,
-    epochs_total,
-    cross_shard_pkts,
-    lookahead_ns,
-    paths,
-    per_path_pkts,
-    spurious_frtx_total,
-    rescue_rtx_total,
-    scheduler,
-    msgs_abandoned,
-    fwd_tsn_total,
-    snd_hol_blocks,
-    snd_hol_ns,
-    allocs_total,
-    allocs_per_event
-});
+impl ToJson for CellMeter {
+    fn to_json(&self) -> Json {
+        let m = &self.measured;
+        let per_event = |x: f64| x / m.events.max(1) as f64;
+        let mut fields = vec![
+            ("label", self.label.to_json()),
+            ("wall_secs", self.wall_secs.to_json()),
+            ("sim_secs", m.sim_secs.to_json()),
+            ("events_fired", m.events.to_json()),
+            ("events_per_sec", (m.events as f64 / self.wall_secs.max(1e-9)).to_json()),
+            ("us_per_event", per_event(self.wall_secs * 1e6).to_json()),
+        ];
+        let mut groups: Vec<(&'static str, Vec<u64>)> = Vec::new();
+        for (spec, &n) in COUNTERS.iter().zip(&m.counters) {
+            let Some(key) = spec.key else { continue };
+            match groups.last_mut() {
+                Some((k, ns)) if *k == key => ns.push(n),
+                _ => groups.push((key, vec![n])),
+            }
+        }
+        fields.extend(groups.into_iter().map(|(k, ns)| {
+            (k, if let [n] = ns[..] { n.to_json() } else { ns.to_json() })
+        }));
+        let bursts = m.get(Counter::Bursts);
+        let pkts_per_burst_avg =
+            if bursts == 0 { 0.0 } else { m.get(Counter::PktsFused) as f64 / bursts as f64 };
+        fields.extend([
+            ("pkts_per_burst_avg", pkts_per_burst_avg.to_json()),
+            ("scheduler", m.scheduler.to_json()),
+            ("allocs_total", self.allocs_total.to_json()),
+            ("allocs_per_event", per_event(self.allocs_total as f64).to_json()),
+        ]);
+        Json::Obj(fields)
+    }
+}
 
 /// Roll-up of one figure's harness run.
 #[derive(Debug, Clone)]
@@ -329,6 +272,30 @@ impl ToJson for BenchReport {
 }
 
 impl BenchReport {
+    /// The roll-up of `cells`: `fig` gets the scale's result-file tag, so a
+    /// `--quick` run never overwrites the paper-scale record.
+    pub fn new(
+        fig: &str,
+        scale: Scale,
+        threads: usize,
+        wall_secs_total: f64,
+        fault_plan: Option<String>,
+        cells: Vec<CellMeter>,
+    ) -> BenchReport {
+        BenchReport {
+            fig: scale.tag(fig),
+            scale: match scale {
+                Scale::Paper => "paper",
+                Scale::Quick => "quick",
+            },
+            threads,
+            wall_secs_total,
+            events_total: cells.iter().map(|c| c.measured.events).sum(),
+            fault_plan,
+            cells,
+        }
+    }
+
     /// Writes `results/BENCH_<fig>.json`.
     pub fn save(&self) {
         self.save_to(std::path::Path::new("results"));
@@ -426,51 +393,42 @@ fn backend_from_env(var: Option<&str>) -> BackendKind {
 }
 
 /// Panics unless the reference-discipline and fast-discipline runs of one
-/// cell agree bit for bit on every semantic output. Handoff meters are
-/// excluded: coalescing exists precisely to change them.
+/// cell agree bit for bit on the value, simulated seconds, events, and
+/// every [`Check::Compared`] counter.
 fn assert_disciplines_agree(label: &str, reference: &Measured, fast: &Measured) {
-    let same = reference.value.to_bits() == fast.value.to_bits()
-        && reference.sim_secs.to_bits() == fast.sim_secs.to_bits()
-        && reference.events == fast.events
-        && reference.aux == fast.aux
-        && reference.per_path_pkts == fast.per_path_pkts
-        && reference.spurious_frtx == fast.spurious_frtx
-        && reference.rescue_rtx == fast.rescue_rtx
-        && reference.msgs_abandoned == fast.msgs_abandoned
-        && reference.fwd_tsn_total == fast.fwd_tsn_total;
+    let mut diffs = Vec::new();
+    if reference.value.to_bits() != fast.value.to_bits() {
+        diffs.push(format!("value {:?} vs {:?}", reference.value, fast.value));
+    }
+    if reference.sim_secs.to_bits() != fast.sim_secs.to_bits() {
+        diffs.push(format!("sim_secs {:?} vs {:?}", reference.sim_secs, fast.sim_secs));
+    }
+    if reference.events != fast.events {
+        diffs.push(format!("events {} vs {}", reference.events, fast.events));
+    }
+    for (spec, (r, f)) in COUNTERS.iter().zip(reference.counters.iter().zip(&fast.counters)) {
+        if spec.check == Check::Compared && r != f {
+            diffs.push(format!("{:?} {r} vs {f}", spec.counter));
+        }
+    }
     assert!(
-        same,
-        "SIM_CHECK divergence in cell `{label}`: \
-         reference (value={:?} sim_secs={:?} events={} aux={} paths={:?}) vs \
-         fast (value={:?} sim_secs={:?} events={} aux={} paths={:?})",
-        reference.value,
-        reference.sim_secs,
-        reference.events,
-        reference.aux,
-        reference.per_path_pkts,
-        fast.value,
-        fast.sim_secs,
-        fast.events,
-        fast.aux,
-        fast.per_path_pkts,
+        diffs.is_empty(),
+        "SIM_CHECK divergence in cell `{label}` (reference vs fast): {}",
+        diffs.join(", ")
     );
 }
 
-/// Runs all cells on the worker pool; returns per-cell measurements in
-/// cell order plus the metering roll-up.
-pub fn run_cells(fig: &str, scale: Scale, cells: Vec<Cell<'_>>) -> (Vec<Measured>, BenchReport) {
-    run_cells_with_plan(fig, scale, cells, None)
-}
-
-/// [`run_cells`] for fault experiments: `plan_json` (the serialized
-/// [`netsim::FaultPlan`] every cell ran under) is stamped into the report so
-/// `results/BENCH_<fig>.json` carries everything needed to replay the run.
-pub fn run_cells_with_plan(
+/// Runs all cells on the worker pool; returns each cell's result in cell
+/// order plus the metering roll-up. `plan` (the serialized
+/// [`netsim::FaultPlan`] a fault experiment's cells ran under) is stamped
+/// into the report so `results/BENCH_<fig>.json` carries everything needed
+/// to replay the run.
+pub fn run_cells<R: Send>(
     fig: &str,
     scale: Scale,
-    cells: Vec<Cell<'_>>,
-    plan_json: Option<String>,
-) -> (Vec<Measured>, BenchReport) {
+    plan: Option<String>,
+    cells: Vec<Cell<'_, R>>,
+) -> (Vec<R>, BenchReport) {
     let n = cells.len();
     let threads = pool_threads().min(n.max(1));
     let check = sim_check();
@@ -479,100 +437,62 @@ pub fn run_cells_with_plan(
     }
     let metering_allocs = crate::alloc_meter::enabled();
     let start = Instant::now();
-    let slots: Vec<Mutex<Option<(Measured, CellMeter)>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let cell = &cells[i];
-                // Name any flight-recorder capture after the cell, so a
-                // `TRACE=1 fig10 --quick` run leaves one
-                // `traces/<fig>_<label>.{pcapng,jsonl}` pair per cell. The
-                // label is thread-local; clearing it keeps later non-cell
-                // runs (e.g. Criterion) on the seed-derived default name.
-                trace::set_run_label(Some(&format!("{fig} {}", cell.label)));
-                // Shadow run first so the metered (fast) run below is
-                // undisturbed. The discipline flag is thread-local, so
-                // parallel workers shadow-check independently.
-                let reference = check.then(|| {
-                    simcore::set_reference_discipline(true);
-                    let r = (cell.run)();
-                    simcore::set_reference_discipline(false);
-                    r
-                });
-                let a0 = metering_allocs.then(crate::alloc_meter::allocs);
-                let t0 = Instant::now();
-                let m = (cell.run)();
-                let wall = t0.elapsed().as_secs_f64();
-                let allocs_total =
-                    a0.map_or(0, |a| crate::alloc_meter::allocs().saturating_sub(a));
-                trace::set_run_label(None);
-                if let Some(r) = &reference {
-                    assert_disciplines_agree(&cell.label, r, &m);
-                }
-                let meter = CellMeter {
-                    label: cell.label.clone(),
-                    wall_secs: wall,
-                    sim_secs: m.sim_secs,
-                    events_fired: m.events,
-                    events_per_sec: m.events as f64 / wall.max(1e-9),
-                    handoffs_total: m.handoffs,
-                    wakes_coalesced: m.wakes_coalesced,
-                    us_per_event: wall * 1e6 / (m.events.max(1)) as f64,
-                    bursts_total: m.bursts_total,
-                    pkts_per_burst_avg: if m.bursts_total == 0 {
-                        0.0
-                    } else {
-                        m.pkts_fused as f64 / m.bursts_total as f64
-                    },
-                    wheel_hits: m.wheel_hits,
-                    heap_falls: m.heap_falls,
-                    shards: m.shards,
-                    epochs_total: m.epochs_total,
-                    cross_shard_pkts: m.cross_shard_pkts,
-                    lookahead_ns: m.lookahead_ns,
-                    paths: m.paths,
-                    per_path_pkts: m.per_path_pkts.to_vec(),
-                    spurious_frtx_total: m.spurious_frtx,
-                    rescue_rtx_total: m.rescue_rtx,
-                    scheduler: m.scheduler.to_string(),
-                    msgs_abandoned: m.msgs_abandoned,
-                    fwd_tsn_total: m.fwd_tsn_total,
-                    snd_hol_blocks: m.snd_hol_blocks,
-                    snd_hol_ns: m.snd_hol_ns,
-                    allocs_total,
-                    allocs_per_event: allocs_total as f64 / (m.events.max(1)) as f64,
-                };
-                *slots[i].lock().unwrap() = Some((m, meter));
-            });
-        }
+    let mut done: Vec<(usize, R, CellMeter)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        let cell = &cells[i];
+                        // Name any flight-recorder capture after the cell, so
+                        // a `TRACE=1 fig10 --quick` run leaves one
+                        // `traces/<fig>_<label>.{pcapng,jsonl}` pair per cell.
+                        // The label is thread-local; clearing it keeps later
+                        // non-cell runs (e.g. Criterion) on the seed-derived
+                        // default name.
+                        trace::set_run_label(Some(&format!("{fig} {}", cell.label)));
+                        // Shadow run first so the metered (fast) run below is
+                        // undisturbed. The discipline flag is thread-local, so
+                        // parallel workers shadow-check independently.
+                        let reference = check.then(|| {
+                            simcore::set_reference_discipline(true);
+                            let (_, m) = (cell.run)();
+                            simcore::set_reference_discipline(false);
+                            m
+                        });
+                        let a0 = metering_allocs.then(crate::alloc_meter::allocs);
+                        let t0 = Instant::now();
+                        let (r, m) = (cell.run)();
+                        let wall_secs = t0.elapsed().as_secs_f64();
+                        let allocs_total =
+                            a0.map_or(0, |a| crate::alloc_meter::allocs().saturating_sub(a));
+                        trace::set_run_label(None);
+                        if let Some(reference) = &reference {
+                            assert_disciplines_agree(&cell.label, reference, &m);
+                        }
+                        let label = cell.label.clone();
+                        let meter = CellMeter { label, wall_secs, allocs_total, measured: m };
+                        done.push((i, r, meter));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
     let wall_total = start.elapsed().as_secs_f64();
-    let mut values = Vec::with_capacity(n);
-    let mut meters = Vec::with_capacity(n);
-    for slot in slots {
-        let (v, m) = slot.into_inner().unwrap().expect("cell not run");
-        values.push(v);
-        meters.push(m);
-    }
-    let report = BenchReport {
-        fig: scale.tag(fig),
-        scale: match scale {
-            Scale::Paper => "paper",
-            Scale::Quick => "quick",
-        },
-        threads,
-        wall_secs_total: wall_total,
-        events_total: meters.iter().map(|m| m.events_fired).sum(),
-        fault_plan: plan_json,
-        cells: meters,
-    };
-    (values, report)
+    done.sort_unstable_by_key(|&(i, ..)| i);
+    let (results, meters): (Vec<R>, Vec<CellMeter>) =
+        done.into_iter().map(|(_, r, meter)| (r, meter)).unzip();
+    let report = BenchReport::new(fig, scale, threads, wall_total, plan, meters);
+    (results, report)
 }
 
 #[cfg(test)]
@@ -582,22 +502,66 @@ mod tests {
     #[test]
     fn results_are_in_cell_order_regardless_of_runtime() {
         // Cells finish in reverse submission order (later = faster), yet
-        // values come back in cell order.
-        let cells: Vec<Cell> = (0..16)
+        // results come back in cell order.
+        let cells: Vec<Cell<u64>> = (0..16)
             .map(|i| {
                 Cell::new(format!("cell{i}"), move || {
-                    std::thread::sleep(std::time::Duration::from_millis(16 - i as u64));
-                    Measured::new(i as f64, 0.0, i)
+                    std::thread::sleep(std::time::Duration::from_millis(16 - i));
+                    (i * 10, Measured::new(i as f64, 0.0, i))
                 })
             })
             .collect();
-        let (values, report) = run_cells("test", Scale::Quick, cells);
-        let got: Vec<f64> = values.iter().map(|m| m.value).collect();
-        assert_eq!(got, (0..16).map(|i| i as f64).collect::<Vec<_>>());
+        let (results, report) = run_cells("test", Scale::Quick, None, cells);
+        assert_eq!(results, (0..16).map(|i| i * 10).collect::<Vec<_>>());
         assert_eq!(report.cells.len(), 16);
         assert_eq!(report.cells[3].label, "cell3");
+        assert_eq!(report.cells[3].measured.value, 3.0);
         assert_eq!(report.events_total, (0..16).sum::<u64>());
         assert!(report.wall_secs_total > 0.0);
+    }
+
+    #[test]
+    fn sim_check_compares_all_but_the_diagnostic_counters() {
+        // Listed apart from the table on purpose: demoting a compared
+        // counter to diagnostic (or the reverse) must fail this test.
+        use Counter::*;
+        const DIAGNOSTIC: [Counter; 11] = [
+            Handoffs,
+            WakesCoalesced,
+            Bursts,
+            PktsFused,
+            WheelHits,
+            HeapFalls,
+            Shards,
+            Epochs,
+            CrossShardPkts,
+            LookaheadNs,
+            SndHolNs,
+        ];
+        let reference = Measured::new(1.5, 2.5, 7);
+        let divergence = |fast: Measured| {
+            std::panic::catch_unwind(|| assert_disciplines_agree("cell-x", &reference, &fast))
+                .err()
+                .map(|e| e.downcast_ref::<String>().cloned().unwrap_or_default())
+        };
+        assert_eq!(divergence(reference), None);
+        let mut semantic = vec![
+            ("value".to_string(), Measured { value: 1.25, ..reference }),
+            ("sim_secs".to_string(), Measured { sim_secs: -2.5, ..reference }),
+            ("events".to_string(), Measured { events: 8, ..reference }),
+        ];
+        for spec in COUNTERS {
+            let fast = reference.with([(spec.counter, reference.get(spec.counter) + 1)]);
+            if DIAGNOSTIC.contains(&spec.counter) {
+                assert_eq!(divergence(fast), None, "{:?} is diagnostic", spec.counter);
+            } else {
+                semantic.push((format!("{:?}", spec.counter), fast));
+            }
+        }
+        for (what, fast) in semantic {
+            let msg = divergence(fast).unwrap_or_else(|| panic!("{what} must be compared"));
+            assert!(msg.contains("`cell-x`"), "{what}: panic must name the cell: {msg}");
+        }
     }
 
     #[test]
@@ -638,76 +602,36 @@ mod tests {
 
     #[test]
     fn bench_report_renders_schema() {
-        let r = BenchReport {
-            fig: "fig0".into(),
-            scale: "quick",
-            threads: 2,
-            wall_secs_total: 0.5,
-            events_total: 10,
-            fault_plan: None,
-            cells: vec![CellMeter {
-                label: "a".into(),
-                wall_secs: 0.25,
-                sim_secs: 1.0,
-                events_fired: 10,
-                events_per_sec: 40.0,
-                handoffs_total: 4,
-                wakes_coalesced: 6,
-                us_per_event: 25000.0,
-                bursts_total: 3,
-                pkts_per_burst_avg: 2.5,
-                wheel_hits: 9,
-                heap_falls: 1,
-                shards: 4,
-                epochs_total: 12,
-                cross_shard_pkts: 7,
-                lookahead_ns: 22_000,
-                paths: 3,
-                per_path_pkts: vec![5, 3, 2, 0],
-                spurious_frtx_total: 1,
-                rescue_rtx_total: 2,
-                scheduler: "rr".into(),
-                msgs_abandoned: 4,
-                fwd_tsn_total: 2,
-                snd_hol_blocks: 6,
-                snd_hol_ns: 9_000,
-                allocs_total: 123,
-                allocs_per_event: 12.3,
-            }],
-        };
+        let measured = Measured::new(2.0, 1.0, 10)
+            .with(COUNTERS.iter().enumerate().map(|(i, spec)| (spec.counter, 100 + i as u64)));
+        let cell = CellMeter { label: "a".into(), wall_secs: 0.25, allocs_total: 123, measured };
+        let r = BenchReport::new("fig0", Scale::Quick, 2, 0.5, None, vec![cell]);
+        assert_eq!((r.fig.as_str(), r.events_total), ("fig0_quick", 10));
         let s = r.to_json().render();
-        for key in [
-            "\"schema_version\"",
-            "\"fig\"",
-            "\"threads\"",
-            "\"cells\"",
-            "\"events_fired\"",
-            "\"label\"",
-            "\"handoffs_total\"",
-            "\"wakes_coalesced\"",
-            "\"us_per_event\"",
-            "\"bursts_total\"",
-            "\"pkts_per_burst_avg\"",
-            "\"wheel_hits\"",
-            "\"heap_falls\"",
-            "\"shards\"",
-            "\"epochs_total\"",
-            "\"cross_shard_pkts\"",
-            "\"lookahead_ns\"",
-            "\"paths\"",
-            "\"per_path_pkts\"",
-            "\"spurious_frtx_total\"",
-            "\"rescue_rtx_total\"",
-            "\"scheduler\"",
-            "\"msgs_abandoned\"",
-            "\"fwd_tsn_total\"",
-            "\"snd_hol_blocks\"",
-            "\"snd_hol_ns\"",
-            "\"allocs_total\"",
-            "\"allocs_per_event\"",
-        ] {
-            assert!(s.contains(key), "missing {key} in {s}");
+        let keys = COUNTERS.iter().filter_map(|spec| spec.key);
+        for key in keys.chain([
+            "schema_version",
+            "fig",
+            "threads",
+            "cells",
+            "label",
+            "wall_secs",
+            "sim_secs",
+            "events_fired",
+            "events_per_sec",
+            "us_per_event",
+            "pkts_per_burst_avg",
+            "scheduler",
+            "allocs_total",
+            "allocs_per_event",
+        ]) {
+            assert_eq!(s.matches(&format!("\"{key}\"")).count(), 1, "{key} once in {s}");
         }
+        let flat: String = s.split_whitespace().collect();
+        let per_path = Counter::PER_PATH.map(|c| (100 + c as usize).to_string()).join(",");
+        assert!(flat.contains(&format!("\"per_path_pkts\":[{per_path}]")), "{s}");
+        assert!(s.contains("\"us_per_event\": 25000.0"), "{s}");
+        assert!(s.contains("\"allocs_per_event\": 12.3"), "{s}");
         assert!(
             s.contains(&format!("\"schema_version\": {}", crate::json::SCHEMA_VERSION)),
             "report must stamp the current schema: {s}"
@@ -725,15 +649,7 @@ mod tests {
             ..Default::default()
         };
         let text = plan.to_json();
-        let report = BenchReport {
-            fig: "flap_quick".into(),
-            scale: "quick",
-            threads: 1,
-            wall_secs_total: 0.1,
-            events_total: 1,
-            fault_plan: Some(text.clone()),
-            cells: vec![],
-        };
+        let report = BenchReport::new("flap", Scale::Quick, 1, 0.1, Some(text.clone()), vec![]);
         let s = report.to_json().render();
         // Embedded verbatim — what the file carries is exactly what
         // `FaultPlan::from_json` replays.
@@ -746,15 +662,7 @@ mod tests {
         let dir = std::env::temp_dir()
             .join(format!("bench-schema-test-{}-{:?}", std::process::id(), std::thread::current().id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let report = BenchReport {
-            fig: "figtest".into(),
-            scale: "quick",
-            threads: 1,
-            wall_secs_total: 0.1,
-            events_total: 1,
-            fault_plan: None,
-            cells: vec![],
-        };
+        let report = BenchReport::new("figtest", Scale::Paper, 1, 0.1, None, vec![]);
         let path = dir.join("BENCH_figtest.json");
         let bak = dir.join("BENCH_figtest.json.bak");
 

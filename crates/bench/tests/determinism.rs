@@ -106,8 +106,9 @@ fn fig8_quick_rows_and_metering_are_reproducible() {
     // Wall-clock differs run to run; the simulation-side meters must not.
     for (ca, cb) in bench_a.cells.iter().zip(&bench_b.cells) {
         assert_eq!(ca.label, cb.label);
-        assert_eq!(ca.events_fired, cb.events_fired, "cell {}", ca.label);
-        assert_eq!(ca.sim_secs.to_bits(), cb.sim_secs.to_bits(), "cell {}", ca.label);
+        assert_eq!(ca.measured.events, cb.measured.events, "cell {}", ca.label);
+        let (sa, sb) = (ca.measured.sim_secs, cb.measured.sim_secs);
+        assert_eq!(sa.to_bits(), sb.to_bits(), "cell {}", ca.label);
     }
     assert_eq!(bench_a.events_total, bench_b.events_total);
 }

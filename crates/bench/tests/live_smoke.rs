@@ -26,6 +26,8 @@ fn quick_sweep_completes_over_real_sockets() {
         "throughput did not grow with message size"
     );
     assert_eq!(report.cells.len(), 2 * rows.len(), "one TCP and one SCTP cell per size");
+    // Live deliveries bypass the event queue; they must still be counted.
+    assert!(report.events_total > 0, "live cells report no events");
 
     // The record must survive the schema sniffer: same version the sim
     // harness writes, so `results/` diffing treats live and sim runs alike.

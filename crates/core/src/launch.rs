@@ -245,66 +245,31 @@ where
     F: Fn(&mut Mpi) + Send + Sync + 'static,
 {
     use crate::daemon::{daemon_main, DaemonClient, DaemonMsg, JobTable};
-    cfg.validate();
-    let mut sctp_cfg = cfg.sctp.clone();
-    if let TransportSel::Sctp { streams, .. } = cfg.transport {
-        sctp_cfg.out_streams = sctp_cfg.out_streams.max(streams);
-    }
-    let mut world = World::new(cfg.net, cfg.tcp, sctp_cfg);
-    world.net.set_fault_plan(cfg.fault_plan.clone());
-    let tracer = make_tracer(&cfg);
-    if let Some(t) = &tracer {
-        t.set_topology(world.net.hosts(), world.net.ifaces());
-        world.net.tracer = Some(t.clone());
-    }
-    let mut rt = Runtime::new(world, cfg.seed);
-    rt.set_tracer(tracer.clone());
     let f = Arc::new(f);
     let table = Arc::new(std::sync::Mutex::new(JobTable::default()));
-    let proc_cfg = MpiProcCfg {
-        size: cfg.nprocs,
-        transport: cfg.transport,
-        cost: cfg.cost,
-        short_limit: cfg.short_limit,
-        long_piece: cfg.long_piece,
-    };
     let n = cfg.nprocs;
-    for rank in 0..n {
-        let f = Arc::clone(&f);
-        rt.spawn(format!("rank{rank}"), move |env: ProcEnv<World>| {
-            // Report to the local daemon over SCTP (stock LAM used UDP).
-            let client = DaemonClient::connect(&env, rank, rank);
-            client.report(&env, DaemonMsg::JobStart { rank });
-            let mut mpi = Mpi::init(env, proc_cfg);
-            f(&mut mpi);
-            let sent = mpi.stats.sends as u32;
-            client.report(mpi.proc_env(), DaemonMsg::Heartbeat { rank, msgs_sent: sent });
-            client.report(mpi.proc_env(), DaemonMsg::JobEnd { rank });
-            mpi.finalize();
-        });
-    }
-    for host in 0..n {
-        let table = Arc::clone(&table);
-        rt.spawn(format!("lamd{host}"), move |env: ProcEnv<World>| {
-            daemon_main(env, host, n, n, table);
-        });
-    }
-    let out = rt.run();
-    flush_trace(&tracer, out.sim_time, cfg.seed);
-    let w = &out.world;
-    let report = MpiReport {
-        sim_time: out.sim_time,
-        events: out.events,
-        handoffs: out.handoffs,
-        wakes_coalesced: out.wakes_coalesced,
-        bursts_total: out.bursts_total,
-        pkts_fused: out.pkts_fused,
-        wheel_hits: out.wheel_hits,
-        heap_falls: out.heap_falls,
-        net: w.net.stats,
-        tcp: w.hosts.iter().map(|h| h.tcp.total_stats()).fold(SockStats::default(), fold_tcp),
-        sctp: w.hosts.iter().map(|h| h.sctp.total_stats()).fold(AssocStats::default(), fold_sctp),
-    };
+    let report = run_mpi(&cfg, None, |rt, proc_cfg| {
+        for rank in 0..n {
+            let f = Arc::clone(&f);
+            rt.spawn(format!("rank{rank}"), move |env: ProcEnv<World>| {
+                // Report to the local daemon over SCTP (stock LAM used UDP).
+                let client = DaemonClient::connect(&env, rank, rank);
+                client.report(&env, DaemonMsg::JobStart { rank });
+                let mut mpi = Mpi::init(env, proc_cfg);
+                f(&mut mpi);
+                let sent = mpi.stats.sends as u32;
+                client.report(mpi.proc_env(), DaemonMsg::Heartbeat { rank, msgs_sent: sent });
+                client.report(mpi.proc_env(), DaemonMsg::JobEnd { rank });
+                mpi.finalize();
+            });
+        }
+        for host in 0..n {
+            let table = Arc::clone(&table);
+            rt.spawn(format!("lamd{host}"), move |env: ProcEnv<World>| {
+                daemon_main(env, host, n, n, table);
+            });
+        }
+    });
     let table = Arc::try_unwrap(table).expect("daemons exited").into_inner().unwrap();
     (report, table)
 }
@@ -385,6 +350,28 @@ fn mpirun_inner<F>(
 where
     F: Fn(&mut Mpi) + Send + Sync + 'static,
 {
+    let f = Arc::new(f);
+    run_mpi(&cfg, dump_slot, |rt, proc_cfg| {
+        for rank in 0..cfg.nprocs {
+            let f = Arc::clone(&f);
+            rt.spawn(format!("rank{rank}"), move |env: ProcEnv<World>| {
+                let mut mpi = Mpi::init(env, proc_cfg);
+                f(&mut mpi);
+                mpi.finalize();
+            });
+        }
+    })
+}
+
+/// What every `mpirun` variant shares: validate `cfg`, build the cluster
+/// (fault plan, flight recorder) and its runtime, let `spawn` add the
+/// processes, run, flush the trace, and fold the hosts' transport stats
+/// into the report. `dump_slot`, when given, receives the capture.
+fn run_mpi(
+    cfg: &MpiCfg,
+    dump_slot: Option<&mut Option<trace::TraceDump>>,
+    spawn: impl FnOnce(&mut Runtime<World>, MpiProcCfg),
+) -> MpiReport {
     cfg.validate();
     let mut sctp_cfg = cfg.sctp.clone();
     if let TransportSel::Sctp { streams, .. } = cfg.transport {
@@ -392,29 +379,23 @@ where
     }
     let mut world = World::new(cfg.net, cfg.tcp, sctp_cfg);
     world.net.set_fault_plan(cfg.fault_plan.clone());
-    let tracer = make_tracer(&cfg);
+    let tracer = make_tracer(cfg);
     if let Some(t) = &tracer {
         t.set_topology(world.net.hosts(), world.net.ifaces());
         world.net.tracer = Some(t.clone());
     }
     let mut rt = Runtime::new(world, cfg.seed);
     rt.set_tracer(tracer.clone());
-    let f = Arc::new(f);
-    let proc_cfg = MpiProcCfg {
-        size: cfg.nprocs,
-        transport: cfg.transport,
-        cost: cfg.cost,
-        short_limit: cfg.short_limit,
-        long_piece: cfg.long_piece,
-    };
-    for rank in 0..cfg.nprocs {
-        let f = Arc::clone(&f);
-        rt.spawn(format!("rank{rank}"), move |env: ProcEnv<World>| {
-            let mut mpi = Mpi::init(env, proc_cfg);
-            f(&mut mpi);
-            mpi.finalize();
-        });
-    }
+    spawn(
+        &mut rt,
+        MpiProcCfg {
+            size: cfg.nprocs,
+            transport: cfg.transport,
+            cost: cfg.cost,
+            short_limit: cfg.short_limit,
+            long_piece: cfg.long_piece,
+        },
+    );
     // Debug aid: abort runaway simulations (panics with diagnostics).
     if let Ok(s) = std::env::var("SCTP_MPI_DEADLINE_SECS") {
         if let Ok(secs) = s.parse::<u64>() {
